@@ -10,13 +10,12 @@ from .errors import (ArchiveError, ConfigError, NulogError, SchemaError,
 from .evaluation import (levenshtein, mean_template_edit_distance,
                          normalize_template, parsing_accuracy,
                          robustness_summary, whole_message_edit_distance)
-from .extraction import (PLACEHOLDER, ParsedMessage, TemplateStore,
+from .extraction import (PLACEHOLDER, ParsedMessage, constant_mask,
                          extract_template, is_constant, parse_corpus)
 from .ingest import (ANOMALY, NORMAL, DatasetConfig, LogRecord,
                      load_config, load_labeled_bgl, load_loghub_csv)
 from .masking import MaskedSample, enumerate_masks, sample_random_mask
-from .model import (MessageEmbedding, Model, ModelConfig, positional_encoding,
-                    train)
+from .model import Model, ModelConfig, positional_encoding, train
 from .persistence import load_model, save_model
 from .tokenizer import (CLS_ID, MASK_ID, PAD_ID, UNK_ID, TokenSequence,
                         Vocabulary, build_vocabulary, compile_filter,

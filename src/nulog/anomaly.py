@@ -1,8 +1,9 @@
 """Anomaly case studies on labeled logs.
 
 Two routes share one pretrained encoder: an unsupervised verdict from the
-fraction of surprising tokens per message, and a supervised verdict from a
-two-way head fine-tuned on the CLS embedding.
+fraction of surprising tokens per message (the complement of extraction's
+constant_mask), and a supervised verdict from a two-way head fine-tuned on
+the CLS embedding with the same train_epoch as pretraining.
 """
 from __future__ import annotations
 
@@ -11,14 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import masking, numerics
 from .errors import ValidationError
-from .extraction import _ranks
+from .extraction import constant_mask
 from .ingest import ANOMALY, NORMAL, LogRecord
-from .model import Model, ModelConfig, train
+from .model import Model, ModelConfig, train, train_epoch
 from .numerics import OptimizerState
-from .tokenizer import (UNK_ID, TokenSequence, build_vocabulary,
-                        compile_filter, compute_frame_length, frame, tokenize)
+from .tokenizer import (TokenSequence, build_vocabulary, compile_filter,
+                        compute_frame_length, frame, tokenize)
 
 log = logging.getLogger(__name__)
 
@@ -87,21 +87,16 @@ class Verdict:
 def token_anomaly_fraction(model: Model, seq: TokenSequence, epsilon: int) -> float:
     """Share of a message's tokens the model finds surprising.
 
-    Uses the same constancy rule as template extraction (top-epsilon rank,
-    unknown tokens always count as surprising), so this value is exactly
-    1 minus the message's constant-token fraction.
+    The surprising tokens are those extraction's constant_mask rejects
+    (top-epsilon rank; unknown tokens always count), so they are exactly the
+    template's variables. Counting them, rather than taking 1 minus the
+    constant share, keeps the value exact: 1 - 7/10 is not 0.3 in floats.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    samples = masking.enumerate_masks(seq)
-    if not samples:
+    constant = constant_mask(model, seq, epsilon)
+    if not constant.size:
         log.warning("message %d has no tokens; scoring it 0.0", seq.message_index)
         return 0.0
-    probs = model.predict_masked_batch(samples)
-    true_ids = np.array([s.target_id for s in samples])
-    ranks = _ranks(probs, true_ids)
-    anomalous = (ranks >= epsilon) | (true_ids == UNK_ID)
-    return float(anomalous.sum()) / len(samples)
+    return float((~constant).sum()) / constant.size
 
 
 def unsupervised_classify(fraction: float, delta: float) -> str:
@@ -188,12 +183,13 @@ def run_unsupervised_study(records: list[LogRecord],
 
 
 def fine_tune_supervised(model: Model, train_seqs: list[TokenSequence],
-                         labels: list[str], epochs: int,
-                         config: AnomalyConfig) -> Model:
+                         labels: list[str], epochs: int) -> Model:
     """Swap the vocabulary head for a two-way one and train every weight.
 
     Class 0 is normal, class 1 is anomaly. The input is the unmasked frame;
-    the classifier reads the CLS row only.
+    the classifier reads the CLS row only. Batch size and learning rate come
+    from the pretrained model's config; the head and the shuffles draw from
+    its seed + 1.
     """
     if len(train_seqs) != len(labels):
         raise ValidationError(
@@ -202,7 +198,7 @@ def fine_tune_supervised(model: Model, train_seqs: list[TokenSequence],
         raise ValidationError("cannot fine-tune on an empty train set")
     if len(set(labels)) < 2:
         log.warning("fine-tune train set has a single class; proceeding anyway")
-    rng = np.random.default_rng(config.seed + 1)
+    rng = np.random.default_rng(model.config.seed + 1)
     classifier = Model(model.config, vocab=model.vocab, init="zeros", head_out=2)
     for name, tensor in model.params.items():
         if not name.startswith("head."):
@@ -212,42 +208,25 @@ def fine_tune_supervised(model: Model, train_seqs: list[TokenSequence],
         t.data = rng.uniform(-0.1, 0.1, size=t.data.shape).astype(t.data.dtype)
     if epochs == 0:
         return classifier
-    targets_all = np.array([1 if lab == ANOMALY else 0 for lab in labels],
-                           dtype=np.int64)
-    opt = OptimizerState(classifier.params, learning_rate=config.learning_rate)
+    ids = np.stack([s.framed_ids for s in train_seqs])
+    targets = np.array([1 if lab == ANOMALY else 0 for lab in labels], dtype=np.int64)
+    opt = OptimizerState(classifier.params, learning_rate=model.config.learning_rate)
     for epoch in range(epochs):
         order = rng.permutation(len(train_seqs))
-        epoch_loss = 0.0
-        for start in range(0, len(order), config.batch_size):
-            batch = order[start:start + config.batch_size]
-            ids = np.stack([train_seqs[i].framed_ids for i in batch])
-            loss = numerics.cross_entropy(classifier.forward_logits(ids),
-                                          targets_all[batch])
-            loss.backward()
-            numerics.optimizer_step(classifier.params, opt)
-            epoch_loss += float(loss.data) * len(batch)
-        log.info("fine-tune epoch %d/%d: mean loss %.4f", epoch + 1, epochs,
-                 epoch_loss / len(train_seqs))
+        mean_loss = train_epoch(classifier, opt, ids[order], targets[order])
+        log.info("fine-tune epoch %d/%d: mean loss %.4f", epoch + 1, epochs, mean_loss)
     return classifier
 
 
 def classify_supervised(classifier: Model,
                         seqs: list[TokenSequence]) -> tuple[list[str], list[float]]:
     """Argmax verdicts plus the anomaly-class probability for each message."""
-    verdicts: list[str] = []
+    size = classifier.config.batch_size
     scores: list[float] = []
-    batch_size = classifier.config.batch_size
-    with numerics.no_grad():
-        for start in range(0, len(seqs), batch_size):
-            ids = np.stack([s.framed_ids for s in seqs[start:start + batch_size]])
-            logits = classifier.forward_logits(ids).data
-            shifted = logits - logits.max(axis=-1, keepdims=True)
-            e = np.exp(shifted)
-            p_anomaly = e[:, 1] / e.sum(axis=-1)
-            for p in p_anomaly:
-                scores.append(float(p))
-                verdicts.append(ANOMALY if p > 0.5 else NORMAL)
-    return verdicts, scores
+    for start in range(0, len(seqs), size):
+        ids = np.stack([s.framed_ids for s in seqs[start:start + size]])
+        scores.extend(float(p) for p in classifier.predict_proba(ids)[:, 1])
+    return [ANOMALY if p > 0.5 else NORMAL for p in scores], scores
 
 
 def run_supervised_study(records: list[LogRecord],
@@ -258,7 +237,7 @@ def run_supervised_study(records: list[LogRecord],
     pretrained = _pretrain(train_part, train_seqs, vocab, payload, config)
     classifier = fine_tune_supervised(pretrained, train_seqs,
                                       [r.label for r in train_part],
-                                      config.epochs_finetune, config)
+                                      config.epochs_finetune)
     calls, scores = classify_supervised(classifier, test_seqs)
     verdicts = [Verdict(line_id=r.line_id, fraction=score, verdict=call, label=r.label)
                 for r, call, score in zip(test_part, calls, scores)]

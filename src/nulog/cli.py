@@ -14,6 +14,7 @@ import logging
 import os
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 from . import anomaly, evaluation, extraction, ingest, persistence
@@ -117,6 +118,7 @@ def cmd_train(args) -> int:
             "blocks": args.blocks, "batch_size": args.batch_size,
             "frame_length": payload + 1, "vocab_size": len(vocab),
             "final_loss": model.training_losses[-1] if model.training_losses else None,
+            "losses": model.training_losses,
         },
         seed, started, [args.out_model])
     log.info("trained on %d messages; archive %s, manifest %s",
@@ -153,23 +155,20 @@ def cmd_parse(args) -> int:
     payload = model.config.frame_length - 1
     corpus = [frame(tokenize(r.content, pattern), payload, model.vocab,
                     message_index=i) for i, r in enumerate(records, start=1)]
-    parsed, store = extraction.parse_corpus(model, corpus, epsilon)
+    parsed, templates = extraction.parse_corpus(model, corpus, epsilon)
     rows = [(r.line_id, p.template_id, p.template,
              json.dumps(p.variables, ensure_ascii=False))
             for r, p in zip(records, parsed)]
     _write_csv(args.out, ["line_id", "template_id", "template", "variables"], rows)
-    counts: dict[int, int] = {}
-    for p in parsed:
-        counts[p.template_id] = counts.get(p.template_id, 0) + 1
+    counts = Counter(p.template_id for p in parsed)
     templates_path = Path(args.out).with_suffix(".templates.csv")
     _write_csv(templates_path, ["template_id", "template", "count"],
-               [(tid, template, counts.get(tid, 0))
-                for tid, template in enumerate(store.templates())])
+               [(tid, template, counts[tid]) for tid, template in enumerate(templates)])
     _write_manifest(args.out, "parse", Path(args.data).stem,
                     {"data": str(args.data), "model": str(args.model),
                      "epsilon": epsilon, "tokenization_filter": filter_pattern},
                     None, started, [args.out, templates_path])
-    log.info("parsed %d messages into %d templates", len(parsed), len(store))
+    log.info("parsed %d messages into %d templates", len(parsed), len(templates))
     return 0
 
 
@@ -304,8 +303,10 @@ def cmd_detect(args) -> int:
                      "epsilon": args.epsilon, "delta": args.delta,
                      "fraction": args.fraction,
                      "train_normal_only": args.train_normal_only,
+                     "tokenization_filter": config.tokenization_filter,
                      "d": args.d, "heads": args.heads,
-                     "ffn_hidden": args.ffn_hidden, "blocks": args.blocks},
+                     "ffn_hidden": args.ffn_hidden, "blocks": args.blocks,
+                     "batch_size": args.batch_size},
                     seed, started, outputs)
     log.info("%s detection: accuracy %.4f precision %.4f recall %.4f F1 %.4f",
              args.mode, metrics.accuracy, metrics.precision, metrics.recall,

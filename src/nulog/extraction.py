@@ -1,13 +1,15 @@
 """Template extraction: mask each token in turn and keep it as a constant
 only when the model ranks the true token inside the top epsilon candidates.
 
-Tokens the rule rejects become the placeholder and their original text is
-reported as that message's variable list, in token order.
+constant_mask applies that rule to a whole message, for parsing here and,
+as its complement, for anomaly scoring. Tokens the rule rejects become the
+placeholder and their original text is reported as that message's variable
+list, in token order.
 """
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,35 +31,6 @@ class ParsedMessage:
     template_id: int
     template: str
     variables: list[str]
-
-
-class TemplateStore:
-    """Assigns dense ids to templates in first-appearance order and keeps
-    each template's member message indices; members partition the corpus."""
-
-    def __init__(self) -> None:
-        self._ids: dict[str, int] = {}
-        self._members: list[list[int]] = []
-
-    def intern(self, template: str) -> int:
-        if template not in self._ids:
-            self._ids[template] = len(self._ids)
-            self._members.append([])
-        return self._ids[template]
-
-    def record(self, template: str, message_index: int) -> int:
-        template_id = self.intern(template)
-        self._members[template_id].append(message_index)
-        return template_id
-
-    def templates(self) -> list[str]:
-        return list(self._ids)
-
-    def members(self, template_id: int) -> list[int]:
-        return list(self._members[template_id])
-
-    def __len__(self) -> int:
-        return len(self._ids)
 
 
 def _ranks(probabilities: np.ndarray, true_ids: np.ndarray) -> np.ndarray:
@@ -90,18 +63,26 @@ def is_constant(probabilities: np.ndarray, true_id: int, epsilon: int) -> bool:
     return bool(rank < epsilon)
 
 
-def extract_template(model: Model, seq: TokenSequence,
-                     epsilon: int) -> tuple[str, list[str]]:
-    """Classify each token of one message and build its template string."""
+def constant_mask(model: Model, seq: TokenSequence, epsilon: int) -> np.ndarray:
+    """The constancy rule for each token of one message, in token order.
+
+    A token is constant when, masked, its true id ranks inside the top
+    epsilon candidates; an unknown token is never constant.
+    """
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     samples = masking.enumerate_masks(seq)
     if not samples:
-        return "", []
-    probs = model.predict_masked_batch(samples)
+        return np.zeros(0, dtype=bool)
     true_ids = np.array([s.target_id for s in samples])
-    ranks = _ranks(probs, true_ids)
-    constant = (ranks < epsilon) & (true_ids != UNK_ID)
+    ranks = _ranks(model.predict_masked_batch(samples), true_ids)
+    return (ranks < epsilon) & (true_ids != UNK_ID)
+
+
+def extract_template(model: Model, seq: TokenSequence,
+                     epsilon: int) -> tuple[str, list[str]]:
+    """Classify each token of one message and build its template string."""
+    constant = constant_mask(model, seq, epsilon)
     parts = [tok if keep else PLACEHOLDER
              for tok, keep in zip(seq.tokens, constant)]
     variables = [tok for tok, keep in zip(seq.tokens, constant) if not keep]
@@ -109,15 +90,16 @@ def extract_template(model: Model, seq: TokenSequence,
 
 
 def parse_corpus(model: Model, corpus: list[TokenSequence],
-                 epsilon: int) -> tuple[list[ParsedMessage], TemplateStore]:
+                 epsilon: int) -> tuple[list[ParsedMessage], list[str]]:
     """Parse every message, reusing results for repeated token sequences.
 
-    Identical token lists always parse identically, so the cache changes
-    nothing but the running time.
+    Returns the parsed messages and the templates, indexed by template id;
+    ids are dense and follow first appearance. Identical token lists always
+    parse identically, so the cache changes nothing but the running time.
     """
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    store = TemplateStore()
+    template_ids: dict[str, int] = {}
     parsed: list[ParsedMessage] = []
     cache: dict[tuple[str, ...], tuple[str, list[str]]] = {}
     for n, seq in enumerate(corpus):
@@ -128,11 +110,11 @@ def parse_corpus(model: Model, corpus: list[TokenSequence],
             template, variables = extract_template(model, seq, epsilon)
             cache[key] = (template, variables)
         parsed.append(ParsedMessage(message_index=seq.message_index,
-                                    template_id=store.record(template,
-                                                             seq.message_index),
+                                    template_id=template_ids.setdefault(
+                                        template, len(template_ids)),
                                     template=template,
                                     variables=list(variables)))
         if (n + 1) % 500 == 0:
             log.info("parsed %d/%d messages (%d templates, %d distinct shapes)",
-                     n + 1, len(corpus), len(store), len(cache))
-    return parsed, store
+                     n + 1, len(corpus), len(template_ids), len(cache))
+    return parsed, list(template_ids)

@@ -2,7 +2,10 @@
 feed-forward blocks, and the CLS prediction head, plus the training loop.
 
 All learnable tensors live in a ParameterSet so the optimizer, the gradient
-checker, and the archive writer see one flat namespace.
+checker, and the archive writer see one flat namespace; parameter_shapes is
+the one list of their names and shapes. predict_proba is the one softmax
+over head logits, and train_epoch the one optimisation pass, shared by
+masked-token pretraining and supervised fine-tuning.
 """
 from __future__ import annotations
 
@@ -92,27 +95,13 @@ class Model:
             raise ValidationError(f"unknown init mode {init!r}")
 
     def _init_params(self, make) -> None:
-        cfg = self.config
-        d, w = cfg.d, cfg.head_width
-        ones = lambda shape: np.ones(shape, dtype=self.dtype)
-        zeros = lambda shape: np.zeros(shape, dtype=self.dtype)
-        self.params.add("tok_emb", make((cfg.vocab_size, d)))
-        for b in range(cfg.blocks):
-            for h in range(cfg.heads):
-                self.params.add(f"block{b}.head{h}.wq", make((d, w)))
-                self.params.add(f"block{b}.head{h}.wk", make((d, w)))
-                self.params.add(f"block{b}.head{h}.wv", make((d, w)))
-            # norm layers start as identity; random gains would crush the signal
-            self.params.add(f"block{b}.attn_norm.gain", ones((1, d)))
-            self.params.add(f"block{b}.attn_norm.bias", zeros((1, d)))
-            self.params.add(f"block{b}.ffn.w1", make((d, cfg.ffn_hidden)))
-            self.params.add(f"block{b}.ffn.b1", make((1, cfg.ffn_hidden)))
-            self.params.add(f"block{b}.ffn.w2", make((cfg.ffn_hidden, d)))
-            self.params.add(f"block{b}.ffn.b2", make((1, d)))
-            self.params.add(f"block{b}.ffn_norm.gain", ones((1, d)))
-            self.params.add(f"block{b}.ffn_norm.bias", zeros((1, d)))
-        self.params.add("head.w", make((d, self.head_out)))
-        self.params.add("head.b", make((1, self.head_out)))
+        for name, shape in self.parameter_shapes(self.config, self.head_out).items():
+            if "_norm." in name:
+                # norm layers start as identity; random gains would crush the signal
+                fill = 1.0 if name.endswith(".gain") else 0.0
+                self.params.add(name, np.full(shape, fill, dtype=self.dtype))
+            else:
+                self.params.add(name, make(shape))
 
     @classmethod
     def parameter_shapes(cls, config: ModelConfig,
@@ -189,39 +178,33 @@ class Model:
         cls = numerics.first_row(encoded)
         return numerics.add(numerics.matmul(cls, self.params["head.w"]), self.params["head.b"])
 
-    def predict_masked(self, sample: MaskedSample) -> np.ndarray:
-        """Probability distribution over the vocabulary for one masked slot."""
-        return self.predict_masked_batch([sample])[0]
-
-    def predict_masked_batch(self, samples: list[MaskedSample]) -> np.ndarray:
-        """Distributions for many masked samples at once: (N, vocab)."""
+    def predict_proba(self, framed_ids) -> np.ndarray:
+        """Softmax of the head logits under no_grad: (B, T) ids -> (B, head_out)."""
         with numerics.no_grad():
-            ids = np.stack([s.input_ids for s in samples])
-            logits = self.forward_logits(ids).data
+            logits = self.forward_logits(framed_ids).data
         shifted = logits - logits.max(axis=-1, keepdims=True)
         e = np.exp(shifted)
         return e / e.sum(axis=-1, keepdims=True)
 
-    def cls_embedding(self, seq: TokenSequence) -> "MessageEmbedding":
-        """Summary vector of a message: CLS row of the encoder output on the
-        unmasked frame."""
-        with numerics.no_grad():
-            encoded = self.encoder_forward(self.embed(seq.framed_ids[None, :]))
-        return MessageEmbedding(vector=encoded.data[0, 0, :].copy(),
-                                message_index=seq.message_index)
+    def predict_masked_batch(self, samples: list[MaskedSample]) -> np.ndarray:
+        """Vocabulary distributions for masked samples: (N, vocab)."""
+        return self.predict_proba(np.stack([s.input_ids for s in samples]))
 
 
-@dataclass
-class MessageEmbedding:
-    """d-dimensional summary of one log message."""
-
-    vector: np.ndarray
-    message_index: int
-
-
-def _batches(items: list, size: int):
-    for start in range(0, len(items), size):
-        yield items[start:start + size]
+def train_epoch(model: Model, opt: OptimizerState, ids: np.ndarray,
+                targets: np.ndarray) -> float:
+    """One optimisation pass over the rows of ids, in order, in batches of
+    the model's batch size. Returns the mean loss per row."""
+    size = model.config.batch_size
+    total = 0.0
+    for start in range(0, len(ids), size):
+        batch = ids[start:start + size]
+        loss = numerics.cross_entropy(model.forward_logits(batch),
+                                      targets[start:start + size])
+        loss.backward()
+        numerics.optimizer_step(model.params, opt)
+        total += float(loss.data) * len(batch)
+    return total / len(ids)
 
 
 def train(corpus: list[TokenSequence], config: ModelConfig,
@@ -247,15 +230,8 @@ def train(corpus: list[TokenSequence], config: ModelConfig,
                 samples.append(sample)
         if not samples:
             raise ValidationError("no maskable messages in the corpus")
-        epoch_loss = 0.0
-        for batch in _batches(samples, config.batch_size):
-            ids = np.stack([s.input_ids for s in batch])
-            targets = np.array([s.target_id for s in batch], dtype=np.int64)
-            loss = numerics.cross_entropy(model.forward_logits(ids), targets)
-            loss.backward()
-            numerics.optimizer_step(model.params, opt)
-            epoch_loss += float(loss.data) * len(batch)
-        mean_loss = epoch_loss / len(samples)
+        mean_loss = train_epoch(model, opt, np.stack([s.input_ids for s in samples]),
+                                np.array([s.target_id for s in samples], dtype=np.int64))
         model.training_losses.append(mean_loss)
         log.info("epoch %d/%d: mean loss %.4f over %d samples",
                  epoch + 1, config.epochs, mean_loss, len(samples))

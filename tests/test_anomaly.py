@@ -12,7 +12,7 @@ from nulog.anomaly import (DELTA_GRID, AnomalyConfig, DetectionMetrics,
                            run_unsupervised_study, sweep_deltas,
                            token_anomaly_fraction, unsupervised_classify,
                            _split)
-from nulog.errors import ValidationError
+from nulog.errors import ConfigError, ValidationError
 from nulog.extraction import extract_template
 from nulog.ingest import ANOMALY, NORMAL, LogRecord
 from nulog.model import Model, ModelConfig, train
@@ -60,7 +60,7 @@ class TestAnomalyConfig:
         dict(tokenization_filter="(["),
     ])
     def test_invalid_values_rejected(self, kwargs):
-        with pytest.raises((ValidationError, Exception)):
+        with pytest.raises((ValidationError, ConfigError)):
             AnomalyConfig(**kwargs)
 
 
@@ -76,7 +76,7 @@ class TestTokenAnomalyFraction:
         stub = IdRankStub(len(vocab))
         assert token_anomaly_fraction(stub, seq, epsilon=1) == 1.0
 
-    def test_partial_fраction(self):
+    def test_partial_fraction(self):
         # ids 4..7; epsilon 7 flags only the last token
         seq, vocab = make_seq(["a", "b", "c", "d"])
         stub = IdRankStub(len(vocab))
@@ -108,7 +108,7 @@ class TestTokenAnomalyFraction:
         stub = IdRankStub(len(vocab))
         _, variables = extract_template(stub, seq, epsilon)
         fraction = token_anomaly_fraction(stub, seq, epsilon)
-        assert fraction == pytest.approx(len(variables) / len(seq.tokens))
+        assert fraction == len(variables) / len(seq.tokens)
 
     def test_complement_holds_on_a_trained_model(self):
         corpus_text = [f"job {i} finished ok" for i in range(12)]
@@ -125,8 +125,7 @@ class TestTokenAnomalyFraction:
             for epsilon in (1, 3, len(vocab)):
                 _, variables = extract_template(model, seq, epsilon)
                 fraction = token_anomaly_fraction(model, seq, epsilon)
-                assert fraction == pytest.approx(
-                    len(variables) / len(seq.tokens))
+                assert fraction == len(variables) / len(seq.tokens)
 
 
 class TestUnsupervisedClassify:
@@ -277,7 +276,7 @@ class TestFineTune:
         model, train_part, train_seqs, _ = self.pretrained(records, config)
         classifier = fine_tune_supervised(model, train_seqs,
                                           [r.label for r in train_part],
-                                          epochs=0, config=config)
+                                          epochs=0)
         assert classifier.params["head.w"].data.shape == (config.d, 2)
         assert classifier.params["head.b"].data.shape == (1, 2)
         for name, tensor in model.params.items():
@@ -290,9 +289,19 @@ class TestFineTune:
         model, train_part, train_seqs, _ = self.pretrained(records, config)
         classifier = fine_tune_supervised(model, train_seqs,
                                           [r.label for r in train_part],
-                                          epochs=1, config=config)
+                                          epochs=1)
         assert not np.array_equal(classifier.params["tok_emb"].data,
                                   model.params["tok_emb"].data)
+
+    def test_same_pretrained_model_gives_bitwise_identical_weights(self):
+        records = signature_corpus()
+        config = study_config(epochs_unsupervised=1)
+        model, train_part, train_seqs, _ = self.pretrained(records, config)
+        labels = [r.label for r in train_part]
+        a = fine_tune_supervised(model, train_seqs, labels, epochs=2)
+        b = fine_tune_supervised(model, train_seqs, labels, epochs=2)
+        for name in a.params.names():
+            assert np.array_equal(a.params[name].data, b.params[name].data)
 
     def test_single_class_warns_and_proceeds(self, caplog):
         records = surprise_corpus()[:40]
@@ -302,7 +311,7 @@ class TestFineTune:
         with caplog.at_level(logging.WARNING):
             classifier = fine_tune_supervised(model, train_seqs,
                                               [NORMAL] * len(train_seqs),
-                                              epochs=1, config=config)
+                                              epochs=1)
         assert "single class" in caplog.text
         assert classifier.params["head.w"].data.shape[1] == 2
 
@@ -311,8 +320,7 @@ class TestFineTune:
         config = study_config(epochs_unsupervised=1)
         model, train_part, train_seqs, _ = self.pretrained(records, config)
         with pytest.raises(ValidationError):
-            fine_tune_supervised(model, train_seqs, [NORMAL], epochs=1,
-                                 config=config)
+            fine_tune_supervised(model, train_seqs, [NORMAL], epochs=1)
 
     def test_scores_are_probabilities(self):
         records = signature_corpus()
@@ -320,7 +328,7 @@ class TestFineTune:
         model, train_part, train_seqs, test_seqs = self.pretrained(records, config)
         classifier = fine_tune_supervised(model, train_seqs,
                                           [r.label for r in train_part],
-                                          epochs=1, config=config)
+                                          epochs=1)
         calls, scores = classify_supervised(classifier, test_seqs)
         assert len(calls) == len(scores) == len(test_seqs)
         for call, score in zip(calls, scores):

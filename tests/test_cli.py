@@ -52,6 +52,13 @@ class TestTrain:
         assert manifest["config"]["vocab_size"] > 4
         assert manifest["elapsed_seconds"] >= 0
 
+    def test_manifest_records_loss_per_epoch(self, workspace):
+        manifest = json.loads(
+            Path(f"{workspace['model']}.manifest.json").read_text())
+        losses = manifest["config"]["losses"]
+        assert len(losses) == manifest["config"]["epochs"]
+        assert losses[-1] == manifest["config"]["final_loss"]
+
     def test_deterministic_archives(self, workspace, tmp_path):
         first = tmp_path / "a.nulog"
         second = tmp_path / "b.nulog"
@@ -289,6 +296,8 @@ class TestDetect:
         assert manifest["command"] == "detect"
         assert manifest["config"]["mode"] == "unsupervised"
         assert manifest["config"]["train_normal_only"] is True
+        assert manifest["config"]["tokenization_filter"] == "([ ])"
+        assert manifest["config"]["batch_size"] == 16
         assert manifest["seed"] == 7
 
     def test_supervised_mode_runs(self, tmp_path):

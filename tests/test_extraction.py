@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nulog.errors import ValidationError
-from nulog.extraction import (PLACEHOLDER, TemplateStore, extract_template,
+from nulog import masking
+from nulog.extraction import (PLACEHOLDER, constant_mask, extract_template,
                               is_constant, parse_corpus)
 from nulog.model import ModelConfig, train
 from nulog.tokenizer import (UNK_ID, WHITESPACE_FILTER, build_vocabulary,
@@ -86,6 +87,32 @@ class TestIsConstant:
         assert verdicts[-1] is True
 
 
+class TestConstantMask:
+    def test_agrees_with_is_constant_on_a_trained_model(self):
+        seqs, vocab = framed_corpus(
+            [f"job j{i} finished with code {i % 3}" for i in range(16)])
+        payload = len(seqs[0].framed_ids) - 1
+        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+                             d=16, heads=2, ffn_hidden=32, epochs=3,
+                             batch_size=8, seed=7)
+        model = train(seqs, config, vocab=vocab)
+        for seq in seqs[:4]:
+            samples = masking.enumerate_masks(seq)
+            probs = model.predict_masked_batch(samples)
+            for epsilon in (1, 3, len(vocab)):
+                mask = constant_mask(model, seq, epsilon)
+                expected = [is_constant(p, s.target_id, epsilon)
+                            for p, s in zip(probs, samples)]
+                assert mask.tolist() == expected
+
+    def test_unknown_token_is_never_constant(self):
+        vocab = build_vocabulary([["alpha", "beta"]])
+        seq = frame(["alpha", "zzz", "beta"], 4, vocab, message_index=0)
+        model = StubModel(len(vocab), constant_ids=set(range(len(vocab))))
+        assert constant_mask(model, seq, epsilon=len(vocab)).tolist() == \
+            [True, False, True]
+
+
 class TestExtractTemplate:
     def test_claim_message_variables(self):
         message = "Attempting claim: memory 2048 MB, disk 20 GB, vcpus 1 CPU"
@@ -135,9 +162,9 @@ class TestParseCorpus:
     def test_identical_messages_form_one_group(self):
         seqs, vocab = framed_corpus(["same line here"] * 7)
         model = StubModel(len(vocab), set(range(4, len(vocab))))
-        parsed, store = parse_corpus(model, seqs, epsilon=2)
-        assert len(store) == 1
-        assert store.members(0) == [s.message_index for s in seqs]
+        parsed, templates = parse_corpus(model, seqs, epsilon=2)
+        assert templates == ["same line here"]
+        assert [p.message_index for p in parsed] == [s.message_index for s in seqs]
         assert {p.template_id for p in parsed} == {0}
 
     def test_members_partition_the_corpus(self):
@@ -145,9 +172,10 @@ class TestParseCorpus:
             ["on x", "off y", "on z", "off w", "on q"])
         constant = {vocab.encode("on"), vocab.encode("off")}
         model = StubModel(len(vocab), constant)
-        parsed, store = parse_corpus(model, seqs, epsilon=2)
-        seen = [idx for tid in range(len(store)) for idx in store.members(tid)]
-        assert sorted(seen) == [s.message_index for s in seqs]
+        parsed, templates = parse_corpus(model, seqs, epsilon=2)
+        assert [p.message_index for p in parsed] == [s.message_index for s in seqs]
+        assert {p.template_id for p in parsed} == set(range(len(templates)))
+        assert all(templates[p.template_id] == p.template for p in parsed)
 
     def test_two_template_synthetic_grouping(self):
         rng = np.random.default_rng(4)
@@ -168,8 +196,8 @@ class TestParseCorpus:
                              batch_size=16, seed=7)
         model = train(seqs, config, vocab=vocab)
         # trained constants rank <= 1, once-seen variables rank >= 6 here
-        parsed, store = parse_corpus(model, seqs, epsilon=4)
-        assert len(store) == 2
+        parsed, templates = parse_corpus(model, seqs, epsilon=4)
+        assert len(templates) == 2
         groups = {}
         for p, label in zip(parsed, truth):
             groups.setdefault(p.template_id, set()).add(label)
@@ -188,12 +216,15 @@ class TestParseCorpus:
         with pytest.raises(ValidationError):
             parse_corpus(StubModel(len(vocab), set()), seqs, epsilon=0)
 
+    def test_empty_corpus_still_checks_epsilon(self):
+        with pytest.raises(ValidationError):
+            parse_corpus(StubModel(8, set()), [], epsilon=0)
 
-class TestTemplateStore:
-    def test_first_appearance_ids(self):
-        store = TemplateStore()
-        assert store.intern("b") == 0
-        assert store.intern("a") == 1
-        assert store.intern("b") == 0
-        assert store.templates() == ["b", "a"]
-        assert len(store) == 2
+    def test_template_ids_follow_first_appearance(self):
+        seqs, vocab = framed_corpus(["b 1", "a 2", "b 3", "c 4", "a 5"])
+        constant = {vocab.encode(t) for t in ("a", "b", "c")}
+        parsed, templates = parse_corpus(StubModel(len(vocab), constant), seqs,
+                                         epsilon=3)
+        assert templates == [f"b {PLACEHOLDER}", f"a {PLACEHOLDER}",
+                             f"c {PLACEHOLDER}"]
+        assert [p.template_id for p in parsed] == [0, 1, 0, 2, 1]

@@ -1,4 +1,5 @@
 """Encoder construction, forward semantics, and the training loop."""
+import hashlib
 import math
 
 import numpy as np
@@ -80,6 +81,33 @@ class TestPositionalEncoding:
         enc = positional_encoding(7, 10)
         assert enc.shape == (7, 10)
         assert np.all(np.abs(enc) <= 1.0 + 1e-6)
+
+
+class TestInitialisation:
+    def test_layout_follows_parameter_shapes(self):
+        config = tiny_config(blocks=2)
+        model = Model(config, init="zeros", head_out=2)
+        shapes = Model.parameter_shapes(config, head_out=2)
+        assert model.params.names() == list(shapes)
+        assert all(model.params[n].data.shape == shape for n, shape in shapes.items())
+
+    def test_norms_start_as_identity(self):
+        model = Model(tiny_config(blocks=2))
+        for name, tensor in model.params.items():
+            if name.endswith("_norm.gain"):
+                assert np.all(tensor.data == 1.0)
+            elif name.endswith("_norm.bias"):
+                assert np.all(tensor.data == 0.0)
+
+    def test_seeded_draws_are_pinned(self):
+        # digest of every name and value of a seed-7 model; it changes when
+        # the draw order does, and with it every archive trained from a seed
+        model = Model(tiny_config(blocks=2))
+        digest = hashlib.sha256()
+        for name, tensor in model.params.items():
+            digest.update(name.encode() + b"\0" + tensor.data.tobytes())
+        assert digest.hexdigest() == \
+            "5af47a364b9594ce9879fe70af14ec2e04fc32eaa1a820beecb0b6fa038da30a"
 
 
 class TestEmbed:
@@ -182,7 +210,7 @@ class TestPredictMasked:
         config = tiny_config(vocab_size=len(vocab), frame_length=payload + 1)
         model = Model(config, vocab=vocab)
         sample = masking.enumerate_masks(seqs[0])[1]
-        probs = model.predict_masked(sample)
+        probs = model.predict_masked_batch([sample])[0]
         assert probs.shape == (len(vocab),)
         assert np.all(probs >= 0)
         assert math.isclose(float(probs.sum()), 1.0, abs_tol=1e-6)
@@ -211,7 +239,7 @@ class TestPredictMasked:
         model = train(seqs, config, vocab=vocab)
         sample = masking.enumerate_masks(seqs[0])[0]
         assert sample.position == 1
-        probs = model.predict_masked(sample)
+        probs = model.predict_masked_batch([sample])[0]
         assert int(np.argmax(probs)) == vocab.encode("INFO")
 
 
@@ -250,37 +278,6 @@ class TestTrain:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
             train([], tiny_config())
-
-
-class TestClsEmbedding:
-    def test_identical_messages_identical_embeddings(self):
-        seqs, vocab, payload = build_corpus(["x y z", "x y z"])
-        config = tiny_config(vocab_size=len(vocab), frame_length=payload + 1)
-        model = Model(config, vocab=vocab)
-        a = model.cls_embedding(seqs[0])
-        b = model.cls_embedding(seqs[1])
-        assert np.array_equal(a.vector, b.vector)
-        assert a.vector.shape == (8,)
-
-    def test_templates_separate_in_embedding_space(self):
-        seqs, vocab, payload = build_corpus(two_template_messages())
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
-                             d=16, heads=2, ffn_hidden=32, epochs=10,
-                             batch_size=16, seed=7)
-        model = train(seqs, config, vocab=vocab)
-        vectors = np.stack([model.cls_embedding(s).vector for s in seqs])
-        norms = np.linalg.norm(vectors, axis=1, keepdims=True)
-        unit = vectors / norms
-        sims = unit @ unit.T
-        same = np.zeros_like(sims, dtype=bool)
-        groups = [i % 2 for i in range(len(seqs))]
-        for i in range(len(seqs)):
-            for j in range(len(seqs)):
-                same[i, j] = groups[i] == groups[j]
-        off_diag = ~np.eye(len(seqs), dtype=bool)
-        intra = sims[same & off_diag].mean()
-        inter = sims[~same].mean()
-        assert intra > inter
 
 
 class TestFullModelGradient:
