@@ -2,7 +2,8 @@
 
 Two routes share one pretrained encoder: an unsupervised verdict from the
 fraction of surprising tokens per message (the complement of extraction's
-constant_mask), and a supervised verdict from a two-way head fine-tuned on
+constant_masks, which scores the masked samples of every test message in
+shared chunks), and a supervised verdict from a two-way head fine-tuned on
 the CLS embedding with the same train_epoch as pretraining.
 """
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .extraction import constant_mask
+from .extraction import constant_masks
 from .ingest import ANOMALY, NORMAL, LogRecord
 from .model import Model, ModelConfig, train, train_epoch
 from .numerics import OptimizerState
@@ -84,19 +85,28 @@ class Verdict:
     label: str
 
 
-def token_anomaly_fraction(model: Model, seq: TokenSequence, epsilon: int) -> float:
-    """Share of a message's tokens the model finds surprising.
+def token_anomaly_fractions(model: Model, seqs: list[TokenSequence],
+                            epsilon: int) -> list[float]:
+    """Share of each message's tokens the model finds surprising.
 
-    The surprising tokens are those extraction's constant_mask rejects
+    The surprising tokens are those extraction's constant_masks rejects
     (top-epsilon rank; unknown tokens always count), so they are exactly the
     template's variables. Counting them, rather than taking 1 minus the
     constant share, keeps the value exact: 1 - 7/10 is not 0.3 in floats.
     """
-    constant = constant_mask(model, seq, epsilon)
-    if not constant.size:
-        log.warning("message %d has no tokens; scoring it 0.0", seq.message_index)
-        return 0.0
-    return float((~constant).sum()) / constant.size
+    fractions = []
+    for seq, constant in zip(seqs, constant_masks(model, seqs, epsilon)):
+        if not constant.size:
+            log.warning("message %d has no tokens; scoring it 0.0", seq.message_index)
+            fractions.append(0.0)
+        else:
+            fractions.append(float((~constant).sum()) / constant.size)
+    return fractions
+
+
+def token_anomaly_fraction(model: Model, seq: TokenSequence, epsilon: int) -> float:
+    """token_anomaly_fractions for one message."""
+    return token_anomaly_fractions(model, [seq], epsilon)[0]
 
 
 def unsupervised_classify(fraction: float, delta: float) -> str:
@@ -169,12 +179,11 @@ def run_unsupervised_study(records: list[LogRecord],
     then flag late lines whose surprising-token share exceeds delta."""
     train_part, test_part, train_seqs, test_seqs, vocab, payload = _prepare(records, config)
     model = _pretrain(train_part, train_seqs, vocab, payload, config)
-    verdicts = []
-    for record, seq in zip(test_part, test_seqs):
-        fraction = token_anomaly_fraction(model, seq, config.epsilon)
-        verdicts.append(Verdict(line_id=record.line_id, fraction=fraction,
-                                verdict=unsupervised_classify(fraction, config.delta),
-                                label=record.label))
+    fractions = token_anomaly_fractions(model, test_seqs, config.epsilon)
+    verdicts = [Verdict(line_id=record.line_id, fraction=fraction,
+                        verdict=unsupervised_classify(fraction, config.delta),
+                        label=record.label)
+                for record, fraction in zip(test_part, fractions)]
     metrics = compute_metrics([v.verdict for v in verdicts],
                               [v.label for v in verdicts])
     log.info("unsupervised study: F1 %.4f over %d test messages",

@@ -1,14 +1,18 @@
 """Template extraction: mask each token in turn and keep it as a constant
 only when the model ranks the true token inside the top epsilon candidates.
 
-constant_mask applies that rule to a whole message, for parsing here and,
-as its complement, for anomaly scoring. Tokens the rule rejects become the
-placeholder and their original text is reported as that message's variable
-list, in token order.
+constant_masks applies that rule to many messages at once, for parsing here
+and, as its complement, for anomaly scoring. It scores their masked samples
+in chunks of MASK_CHUNK, one forward pass per chunk, whichever message each
+sample came from; constant_mask is its one-message case. Tokens the rule
+rejects become the placeholder and their original text is reported as that
+message's variable list, in token order.
 """
 from __future__ import annotations
 
+import itertools
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,6 +25,10 @@ from .tokenizer import UNK_ID, TokenSequence
 log = logging.getLogger(__name__)
 
 PLACEHOLDER = "⟨*⟩"  # angle-bracketed star
+
+# masked samples per forward pass: large enough to fill a GEMM, small enough
+# that the activations of one pass stay a few megabytes
+MASK_CHUNK = 256
 
 
 @dataclass
@@ -63,58 +71,71 @@ def is_constant(probabilities: np.ndarray, true_id: int, epsilon: int) -> bool:
     return bool(rank < epsilon)
 
 
-def constant_mask(model: Model, seq: TokenSequence, epsilon: int) -> np.ndarray:
-    """The constancy rule for each token of one message, in token order.
+def constant_masks(model: Model, seqs: list[TokenSequence],
+                   epsilon: int) -> list[np.ndarray]:
+    """The constancy rule for each token of each message, in token order.
 
     A token is constant when, masked, its true id ranks inside the top
-    epsilon candidates; an unknown token is never constant.
+    epsilon candidates; an unknown token is never constant. A message's
+    result does not depend on which other messages share its chunks.
     """
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    samples = masking.enumerate_masks(seq)
-    if not samples:
-        return np.zeros(0, dtype=bool)
-    true_ids = np.array([s.target_id for s in samples])
-    ranks = _ranks(model.predict_masked_batch(samples), true_ids)
-    return (ranks < epsilon) & (true_ids != UNK_ID)
+    samples = (s for seq in seqs for s in masking.enumerate_masks(seq))
+    flags = [np.zeros(0, dtype=bool)]
+    while chunk := list(itertools.islice(samples, MASK_CHUNK)):
+        true_ids = np.array([s.target_id for s in chunk])
+        ranks = _ranks(model.predict_masked_batch(chunk), true_ids)
+        flags.append((ranks < epsilon) & (true_ids != UNK_ID))
+    flat = np.concatenate(flags)
+    ends = np.cumsum([len(seq.tokens) for seq in seqs], dtype=np.int64)
+    return [flat[end - len(seq.tokens):end] for seq, end in zip(seqs, ends)]
 
 
-def extract_template(model: Model, seq: TokenSequence,
-                     epsilon: int) -> tuple[str, list[str]]:
-    """Classify each token of one message and build its template string."""
-    constant = constant_mask(model, seq, epsilon)
+def constant_mask(model: Model, seq: TokenSequence, epsilon: int) -> np.ndarray:
+    """constant_masks for one message."""
+    return constant_masks(model, [seq], epsilon)[0]
+
+
+def _template(seq: TokenSequence, constant: np.ndarray) -> tuple[str, list[str]]:
     parts = [tok if keep else PLACEHOLDER
              for tok, keep in zip(seq.tokens, constant)]
     variables = [tok for tok, keep in zip(seq.tokens, constant) if not keep]
     return " ".join(parts), variables
 
 
+def extract_template(model: Model, seq: TokenSequence,
+                     epsilon: int) -> tuple[str, list[str]]:
+    """Classify each token of one message and build its template string."""
+    return _template(seq, constant_mask(model, seq, epsilon))
+
+
 def parse_corpus(model: Model, corpus: list[TokenSequence],
                  epsilon: int) -> tuple[list[ParsedMessage], list[str]]:
-    """Parse every message, reusing results for repeated token sequences.
+    """Parse every message, scoring each distinct token sequence once.
 
     Returns the parsed messages and the templates, indexed by template id;
     ids are dense and follow first appearance. Identical token lists always
-    parse identically, so the cache changes nothing but the running time.
+    parse identically, so scoring one of them changes nothing but the
+    running time.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    distinct: dict[tuple[str, ...], TokenSequence] = {}
+    for seq in corpus:
+        distinct.setdefault(tuple(seq.tokens), seq)
+    masks = constant_masks(model, list(distinct.values()), epsilon)
+    results = {key: _template(seq, mask)
+               for (key, seq), mask in zip(distinct.items(), masks)}
     template_ids: dict[str, int] = {}
     parsed: list[ParsedMessage] = []
-    cache: dict[tuple[str, ...], tuple[str, list[str]]] = {}
-    for n, seq in enumerate(corpus):
-        key = tuple(seq.tokens)
-        if key in cache:
-            template, variables = cache[key]
-        else:
-            template, variables = extract_template(model, seq, epsilon)
-            cache[key] = (template, variables)
+    for seq in corpus:
+        template, variables = results[tuple(seq.tokens)]
         parsed.append(ParsedMessage(message_index=seq.message_index,
                                     template_id=template_ids.setdefault(
                                         template, len(template_ids)),
                                     template=template,
                                     variables=list(variables)))
-        if (n + 1) % 500 == 0:
-            log.info("parsed %d/%d messages (%d templates, %d distinct shapes)",
-                     n + 1, len(corpus), len(template_ids), len(cache))
+    samples = sum(len(seq.tokens) for seq in distinct.values())
+    log.info("scored %d messages as %d distinct sequences: %d masked samples "
+             "in %d forward calls", len(corpus), len(distinct), samples,
+             math.ceil(samples / MASK_CHUNK))
     return parsed, list(template_ids)

@@ -3,9 +3,12 @@ feed-forward blocks, and the CLS prediction head, plus the training loop.
 
 All learnable tensors live in a ParameterSet so the optimizer, the gradient
 checker, and the archive writer see one flat namespace; parameter_shapes is
-the one list of their names and shapes. predict_proba is the one softmax
-over head logits, and train_epoch the one optimisation pass, shared by
-masked-token pretraining and supervised fine-tuning.
+the one list of their names and shapes. forward_logits is the one forward
+pass behind training, fine-tuning, parsing and classification; because the
+head reads the CLS row alone, its last block computes that row alone.
+predict_proba is the one softmax over head logits, and train_epoch the one
+optimisation pass, shared by masked-token pretraining and supervised
+fine-tuning.
 """
 from __future__ import annotations
 
@@ -135,14 +138,20 @@ class Model:
         emb = numerics.embedding(self.params["tok_emb"], ids)
         return numerics.add(emb, Tensor(self.positional))
 
-    def attention(self, x: Tensor, block: int, collect: list | None = None) -> Tensor:
+    def attention(self, x: Tensor, block: int, collect: list | None = None,
+                  query: Tensor | None = None) -> Tensor:
         """Multi-head self-attention; head outputs are concatenated, no extra
-        output projection."""
+        output projection.
+
+        Keys and values come from every row of x; queries from the rows of
+        query, x itself by default. The output has one row per query row.
+        """
         cfg = self.config
         inv_temp = 1.0 / math.sqrt(cfg.head_width)
+        query = x if query is None else query
         heads = []
         for h in range(cfg.heads):
-            q = numerics.matmul(x, self.params[f"block{block}.head{h}.wq"])
+            q = numerics.matmul(query, self.params[f"block{block}.head{h}.wq"])
             k = numerics.matmul(x, self.params[f"block{block}.head{h}.wk"])
             v = numerics.matmul(x, self.params[f"block{block}.head{h}.wv"])
             scores = numerics.scale(numerics.matmul(q, numerics.transpose(k)), inv_temp)
@@ -152,14 +161,20 @@ class Model:
             heads.append(numerics.matmul(weights, v))
         return numerics.concat_cols(heads)
 
-    def encoder_forward(self, x: Tensor, collect_attention: list | None = None) -> Tensor:
+    def encoder_forward(self, x: Tensor, collect_attention: list | None = None,
+                        cls_only: bool = False) -> Tensor:
         """Attention and feed-forward stages with residuals and norms.
 
-        Output shape equals input shape regardless of the block count.
+        Output shape equals input shape regardless of the block count,
+        unless cls_only: then the last block works out the CLS row alone,
+        (B, T, d) -> (B, 1, d). It still attends over every row, but its
+        query, residual, norms and feed-forward stage skip the other rows.
         """
+        last = self.config.blocks - 1
         for b in range(self.config.blocks):
-            attended = self.attention(x, b, collect_attention)
-            x = numerics.layer_norm_rows(numerics.add(x, attended),
+            query = numerics.first_row(x, keep_rows=True) if cls_only and b == last else x
+            attended = self.attention(x, b, collect_attention, query)
+            x = numerics.layer_norm_rows(numerics.add(query, attended),
                                          self.params[f"block{b}.attn_norm.gain"],
                                          self.params[f"block{b}.attn_norm.bias"])
             hidden = numerics.relu(numerics.add(
@@ -174,7 +189,7 @@ class Model:
 
     def forward_logits(self, framed_ids) -> Tensor:
         """Head logits from the CLS row: (B, T) ids -> (B, head_out)."""
-        encoded = self.encoder_forward(self.embed(framed_ids))
+        encoded = self.encoder_forward(self.embed(framed_ids), cls_only=True)
         cls = numerics.first_row(encoded)
         return numerics.add(numerics.matmul(cls, self.params["head.w"]), self.params["head.b"])
 

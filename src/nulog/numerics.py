@@ -11,6 +11,8 @@ skip the tape entirely when no input is being tracked (see no_grad).
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ShapeError, StaleGradientError, ValidationError
@@ -144,6 +146,11 @@ def scale(a: Tensor, factor: float) -> Tensor:
     return _make(data, (a,), vjp)
 
 
+def _rows(x: np.ndarray) -> np.ndarray:
+    """Fold any batch axis into the rows: (B, T, k) -> (B*T, k)."""
+    return x.reshape(math.prod(x.shape[:-1]), x.shape[-1])
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product, batched when either operand carries a batch axis."""
     if a.data.ndim not in (2, 3) or b.data.ndim not in (2, 3):
@@ -155,19 +162,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"cannot multiply {a.data.shape} by {b.data.shape}")
     if a.data.ndim == 3 and b.data.ndim == 3 and a.data.shape[0] != b.data.shape[0]:
         raise ShapeError(f"batch sizes differ: {a.data.shape} by {b.data.shape}")
-    data = a.data @ b.data
+    if b.data.ndim == 2:
+        # a shared weight: fold any batch axis into the rows, so numpy runs
+        # one GEMM instead of one small GEMM per batch item
+        data = (_rows(a.data) @ b.data).reshape(*a.data.shape[:-1], b.cols)
+    else:
+        data = a.data @ b.data
 
     def vjp(g):
         if b.data.ndim == 2:
-            grad_a = g @ b.data.T
+            rows = _rows(g)
+            grad_a = (rows @ b.data.T).reshape(a.data.shape)
+            grad_b = _rows(a.data).T @ rows
         else:
             grad_a = g @ b.data.swapaxes(-1, -2)
-        if a.data.ndim == 2 and b.data.ndim == 2:
-            grad_b = a.data.T @ g
-        elif b.data.ndim == 2:
-            # batched a against shared b: contract the batch away
-            grad_b = a.data.reshape(-1, a.cols).T @ g.reshape(-1, g.shape[-1])
-        else:
             grad_b = a.data.swapaxes(-1, -2) @ g
         return grad_a, grad_b
 
@@ -265,19 +273,23 @@ def concat_cols(parts: list[Tensor]) -> Tensor:
     return _make(data, tuple(parts), vjp)
 
 
-def first_row(a: Tensor) -> Tensor:
-    """Row 0 of each matrix in the batch: (B, T, d) -> (B, d), (T, d) -> (1, d)."""
+def first_row(a: Tensor, keep_rows: bool = False) -> Tensor:
+    """Row 0 of each matrix in the batch: (B, T, d) -> (B, d), (T, d) -> (1, d).
+
+    With keep_rows the row axis stays, (B, T, d) -> (B, 1, d), so the CLS
+    row can go on through the batched kernels as a one-row matrix.
+    """
     if a.data.ndim == 2:
-        data = a.data[:1, :]
+        index = (slice(0, 1), slice(None))
+    elif keep_rows:
+        index = (slice(None), slice(0, 1), slice(None))
     else:
-        data = a.data[:, 0, :]
+        index = (slice(None), 0, slice(None))
+    data = a.data[index]
 
     def vjp(g):
         grad = np.zeros_like(a.data)
-        if a.data.ndim == 2:
-            grad[:1, :] = g
-        else:
-            grad[:, 0, :] = g
+        grad[index] = g
         return (grad,)
 
     return _make(data, (a,), vjp)
@@ -312,16 +324,6 @@ def cross_entropy(logits: Tensor, target_ids) -> Tensor:
         return (grad[0] if squeeze else grad,)
 
     return _make(data, (logits,), vjp)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    data = np.asarray(a.data.mean(), dtype=a.data.dtype)
-    count = a.data.size
-
-    def vjp(g):
-        return (np.full_like(a.data, g / count),)
-
-    return _make(data, (a,), vjp)
 
 
 def sum_all(a: Tensor) -> Tensor:
@@ -381,6 +383,13 @@ class OptimizerState:
         self.step = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
+        # two flat work buffers per dtype, as long as the largest parameter;
+        # every update writes its temporaries into views of them
+        sizes: dict[np.dtype, int] = {}
+        for t in params.tensors():
+            sizes[t.data.dtype] = max(sizes.get(t.data.dtype, 0), t.data.size)
+        self.scratch = {dtype: (np.empty(n, dtype), np.empty(n, dtype))
+                        for dtype, n in sizes.items()}
 
 
 def optimizer_step(params: ParameterSet, state: OptimizerState) -> None:
@@ -400,11 +409,22 @@ def optimizer_step(params: ParameterSet, state: OptimizerState) -> None:
         g = t.grad
         m = state.m[name]
         v = state.v[name]
+        s1, s2 = (buf[:g.size].reshape(g.shape) for buf in state.scratch[t.data.dtype])
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+        np.multiply(g, 1.0 - state.beta1, out=s1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += s1
+        np.square(g, out=s1)
+        s1 *= 1.0 - state.beta2
         v *= state.beta2
-        v += (1.0 - state.beta2) * np.square(g)
-        t.data -= (state.learning_rate / bc1) * m / (np.sqrt(v / bc2) + state.eps)
+        v += s1
+        # w -= (lr / bc1) m / (sqrt(v / bc2) + eps)
+        np.divide(v, bc2, out=s1)
+        np.sqrt(s1, out=s1)
+        s1 += state.eps
+        np.multiply(m, state.learning_rate / bc1, out=s2)
+        s2 /= s1
+        t.data -= s2
         t.grad = None
 
 

@@ -10,8 +10,8 @@ from nulog.anomaly import (DELTA_GRID, AnomalyConfig, DetectionMetrics,
                            Verdict, classify_supervised, compute_metrics,
                            fine_tune_supervised, run_supervised_study,
                            run_unsupervised_study, sweep_deltas,
-                           token_anomaly_fraction, unsupervised_classify,
-                           _split)
+                           token_anomaly_fraction, token_anomaly_fractions,
+                           unsupervised_classify, _split)
 from nulog.errors import ConfigError, ValidationError
 from nulog.extraction import extract_template
 from nulog.ingest import ANOMALY, NORMAL, LogRecord
@@ -94,6 +94,16 @@ class TestTokenAnomalyFraction:
         with caplog.at_level(logging.WARNING):
             assert token_anomaly_fraction(stub, seq, epsilon=3) == 0.0
         assert "no tokens" in caplog.text
+
+    def test_batch_equals_one_message_at_a_time(self):
+        corpus_words = ["a", "b", "c", "d"]
+        seqs = [make_seq(words, corpus_words)[0]
+                for words in (["a", "b", "c", "d"], [], ["d", "zzz"], ["a"])]
+        stub = IdRankStub(len(make_seq(corpus_words)[1]))
+        fractions = token_anomaly_fractions(stub, seqs, epsilon=7)
+        assert fractions == [token_anomaly_fraction(stub, s, 7) for s in seqs]
+        assert fractions == [0.25, 0.0, 1.0, 0.0]
+        assert token_anomaly_fractions(stub, [], epsilon=7) == []
 
     @pytest.mark.parametrize("epsilon", [0, -5])
     def test_nonpositive_epsilon_rejected(self, epsilon):
@@ -252,6 +262,16 @@ class TestUnsupervisedStudy:
         config = study_config(epochs_unsupervised=2)
         _, verdicts = run_unsupervised_study(records, config)
         assert all(0.0 <= v.fraction <= 1.0 for v in verdicts)
+
+    def test_empty_test_message_scores_zero_with_warning(self, caplog):
+        records = surprise_corpus()
+        records[44] = LogRecord(45, "", label=NORMAL)
+        with caplog.at_level(logging.WARNING, logger="nulog.anomaly"):
+            _, verdicts = run_unsupervised_study(records,
+                                                 study_config(epochs_unsupervised=1))
+        assert "message 45 has no tokens; scoring it 0.0" in caplog.text
+        empty = next(v for v in verdicts if v.line_id == 45)
+        assert (empty.fraction, empty.verdict) == (0.0, NORMAL)
 
     def test_normal_only_filter_changes_nothing_without_train_anomalies(self):
         records = surprise_corpus()

@@ -1,12 +1,16 @@
 """Top-epsilon constancy rule, template assembly, and corpus grouping."""
+import logging
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from nulog.errors import ValidationError
 from nulog import masking
-from nulog.extraction import (PLACEHOLDER, constant_mask, extract_template,
-                              is_constant, parse_corpus)
+from nulog.extraction import (MASK_CHUNK, PLACEHOLDER, constant_mask,
+                              constant_masks, extract_template, is_constant,
+                              parse_corpus)
 from nulog.model import ModelConfig, train
 from nulog.tokenizer import (UNK_ID, WHITESPACE_FILTER, build_vocabulary,
                              compute_frame_length, frame, tokenize)
@@ -111,6 +115,64 @@ class TestConstantMask:
         model = StubModel(len(vocab), constant_ids=set(range(len(vocab))))
         assert constant_mask(model, seq, epsilon=len(vocab)).tolist() == \
             [True, False, True]
+
+
+class CountingStub(StubModel):
+    """StubModel that records the row count of every forward call."""
+
+    def __init__(self, vocab_size, constant_ids):
+        super().__init__(vocab_size, constant_ids)
+        self.calls = []
+
+    def predict_masked_batch(self, samples):
+        self.calls.append(len(samples))
+        return super().predict_masked_batch(samples)
+
+
+class TestConstantMasks:
+    def test_batched_equals_per_message_across_chunks(self):
+        # more masked samples than one chunk holds, an empty message and
+        # tokens the vocabulary has never seen
+        train_seqs, vocab = framed_corpus(
+            [f"node n{i % 7} sent {i % 5} packets to host h{i % 3}" for i in range(40)])
+        payload = len(train_seqs[0].framed_ids) - 1
+        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+                             d=16, heads=2, ffn_hidden=32, blocks=2, epochs=2,
+                             batch_size=8, seed=7)
+        model = train(train_seqs, config, vocab=vocab)
+        seqs = list(train_seqs)
+        seqs.insert(5, frame([], payload, vocab, message_index=100))
+        seqs.insert(11, frame(["node", "n9", "sent", "zzz", "packets"], payload,
+                              vocab, message_index=101))
+        assert sum(len(s.tokens) for s in seqs) > MASK_CHUNK
+        assert UNK_ID in seqs[11].framed_ids
+        verdicts = set()
+        for epsilon in (1, 3, 8):
+            batched = constant_masks(model, seqs, epsilon)
+            verdicts.update(np.concatenate(batched).tolist())
+            assert len(batched) == len(seqs)
+            for seq, mask in zip(seqs, batched):
+                assert mask.dtype == bool
+                assert np.array_equal(mask, constant_mask(model, seq, epsilon))
+            assert batched[5].size == 0
+            assert not batched[11][3]
+        assert verdicts == {True, False}
+
+    def test_one_forward_call_per_chunk(self):
+        seqs, vocab = framed_corpus([f"w{i} x{i} y{i}" for i in range(200)])
+        model = CountingStub(len(vocab), set())
+        constant_masks(model, seqs, epsilon=1)
+        samples = 3 * len(seqs)
+        assert len(model.calls) == math.ceil(samples / MASK_CHUNK)
+        assert sum(model.calls) == samples
+        assert max(model.calls) == MASK_CHUNK
+
+    def test_empty_input(self):
+        model = CountingStub(8, set())
+        assert constant_masks(model, [], epsilon=1) == []
+        assert model.calls == []
+        with pytest.raises(ValidationError):
+            constant_masks(model, [], epsilon=0)
 
 
 class TestExtractTemplate:
@@ -219,6 +281,16 @@ class TestParseCorpus:
     def test_empty_corpus_still_checks_epsilon(self):
         with pytest.raises(ValidationError):
             parse_corpus(StubModel(8, set()), [], epsilon=0)
+
+    def test_scores_each_distinct_sequence_once(self, caplog):
+        seqs, vocab = framed_corpus(["on x", "off y", "on x", "on x", "off y", "up"])
+        model = CountingStub(len(vocab), {vocab.encode("on"), vocab.encode("off")})
+        with caplog.at_level(logging.INFO, logger="nulog.extraction"):
+            parsed, templates = parse_corpus(model, seqs, epsilon=2)
+        assert model.calls == [2 + 2 + 1]
+        assert [p.template_id for p in parsed] == [0, 1, 0, 0, 1, 2]
+        assert "scored 6 messages as 3 distinct sequences: 5 masked samples " \
+            "in 1 forward calls" in caplog.text
 
     def test_template_ids_follow_first_appearance(self):
         seqs, vocab = framed_corpus(["b 1", "a 2", "b 3", "c 4", "a 5"])

@@ -204,6 +204,38 @@ class TestEncoderForward:
         assert np.array_equal(a, b)
 
 
+class TestForwardLogits:
+    """forward_logits works out the last block for the CLS row only; that
+    must give what the full encoder gives on row 0."""
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_equals_the_cls_row_of_the_full_encoder(self, blocks):
+        config = tiny_config(blocks=blocks)
+        model = Model(config, rng=np.random.default_rng(0), dtype=np.float64)
+        ids = np.random.default_rng(1).integers(0, config.vocab_size, size=(5, 6))
+        cls = numerics.first_row(model.encoder_forward(model.embed(ids)))
+        expected = cls.data @ model.params["head.w"].data + model.params["head.b"].data
+        logits = model.forward_logits(ids).data
+        assert logits.shape == (5, config.vocab_size)
+        assert np.max(np.abs(logits - expected)) <= 1e-12
+
+    def test_two_block_finite_difference(self):
+        config = tiny_config(blocks=2)
+        model = Model(config, rng=np.random.default_rng(0), dtype=np.float64)
+        rng = np.random.default_rng(1)
+        ids = rng.integers(0, config.vocab_size, size=(2, config.frame_length))
+        ids[:, 0] = CLS_ID
+        targets = rng.integers(0, config.vocab_size, size=2)
+
+        def loss_fn():
+            return cross_entropy(model.forward_logits(ids), targets)
+
+        # two blocks curve more: at the default h of 1e-3 the truncation
+        # error of central differences alone reaches 1e-2, with either path
+        error = finite_difference_check(loss_fn, model.params, h=1e-5)
+        assert error <= 1e-5, f"gradient mismatch {error:.2e}"
+
+
 class TestPredictMasked:
     def test_output_is_distribution(self):
         seqs, vocab, payload = build_corpus(["alpha beta gamma", "alpha beta"])

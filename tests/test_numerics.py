@@ -14,7 +14,7 @@ from nulog.errors import ShapeError, StaleGradientError, ValidationError
 from nulog.numerics import (OptimizerState, ParameterSet, Tensor, add,
                             concat_cols, cross_entropy, embedding,
                             finite_difference_check, first_row,
-                            layer_norm_rows, matmul, mean_all, no_grad, relu,
+                            layer_norm_rows, matmul, no_grad, relu,
                             scale, softmax_rows, sum_all, transpose,
                             optimizer_step)
 
@@ -134,6 +134,34 @@ class TestKernelValues:
         assert (out.data >= 0).all()
 
 
+class TestSharedWeightMatmul:
+    """A (B, T, k) activation against a (k, n) weight runs as one GEMM on
+    (B*T, k); each batch item must come out as its own product would."""
+
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed_a", "transposed_b"])
+    def test_matches_per_matrix_products_bitwise(self, layout):
+        rng = np.random.default_rng(11)
+        x = rng.normal(size=(5, 7, 16)).astype(np.float32)
+        w = rng.normal(size=(16, 9)).astype(np.float32)
+        if layout == "transposed_a":
+            x = np.ascontiguousarray(x.swapaxes(1, 2)).swapaxes(1, 2)
+        elif layout == "transposed_b":
+            w = np.ascontiguousarray(w.T).T
+        g = rng.normal(size=(5, 7, 9)).astype(np.float32)
+        out = matmul(Tensor(x, requires_grad=True), Tensor(w, requires_grad=True))
+        assert np.array_equal(out.data, np.stack([x[i] @ w for i in range(5)]))
+        grad_a, grad_b = out._vjp(g)
+        assert np.array_equal(grad_a, np.stack([g[i] @ w.T for i in range(5)]))
+        assert np.allclose(grad_b, sum(x[i].T @ g[i] for i in range(5)), atol=1e-4)
+
+    def test_one_row_batch_keeps_its_shape(self):
+        x = np.arange(12, dtype=np.float32).reshape(3, 1, 4)
+        w = np.ones((4, 2), dtype=np.float32)
+        out = matmul(Tensor(x), Tensor(w))
+        assert out.data.shape == (3, 1, 2)
+        assert out.data[:, 0, 0].tolist() == [6.0, 22.0, 38.0]
+
+
 class TestBackwardHandDerived:
     def test_sum_gradient_is_ones(self):
         a = Tensor(np.arange(6, dtype=np.float64).reshape(2, 3),
@@ -179,7 +207,7 @@ class TestFiniteDifferences:
 
     def test_matmul_chain(self):
         rng = np.random.default_rng(2)
-        fd_case(lambda p: mean_all(matmul(matmul(p["a"], p["b"]), p["c"])),
+        fd_case(lambda p: sum_all(matmul(matmul(p["a"], p["b"]), p["c"])),
                 a=rng.normal(size=(2, 3)), b=rng.normal(size=(3, 3)),
                 c=rng.normal(size=(3, 2)))
 
@@ -219,6 +247,11 @@ class TestFiniteDifferences:
         ids = np.array([[0, 2, 0, 1]])
         fd_case(lambda p: sum_all(relu(embedding(p["table"], ids))),
                 table=rng.normal(size=(4, 3)))
+
+    def test_first_row_keeping_the_row_axis(self):
+        rng = np.random.default_rng(9)
+        fd_case(lambda p: sum_all(matmul(first_row(p["x"], keep_rows=True), p["w"])),
+                x=rng.normal(size=(3, 4, 5)), w=rng.normal(size=(5, 2)))
 
     def test_concat_and_first_row(self):
         rng = np.random.default_rng(8)
@@ -312,6 +345,33 @@ class TestOptimizer:
         window = history[5:100]
         assert all(b <= a + 1e-12 for a, b in zip(window, window[1:]))
         assert history[-1] < 0.01
+
+    def test_in_place_update_matches_the_out_of_place_formula_bitwise(self):
+        rng = np.random.default_rng(5)
+        params = ParameterSet()
+        for name, shape in (("w", (40, 24)), ("b", (1, 24))):
+            params.add(name, rng.normal(size=shape).astype(np.float32))
+        state = OptimizerState(params, learning_rate=1e-2)
+        b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
+        ref = {n: t.data.copy() for n, t in params.items()}
+        m = {n: np.zeros_like(w) for n, w in ref.items()}
+        v = {n: np.zeros_like(w) for n, w in ref.items()}
+        for step in range(1, 6):
+            grads = {n: rng.normal(size=w.shape).astype(np.float32)
+                     for n, w in ref.items()}
+            for name, t in params.items():
+                t.grad = grads[name].copy()
+            optimizer_step(params, state)
+            bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
+            for name, g in grads.items():
+                m[name] = m[name] * b1 + (1.0 - b1) * g
+                v[name] = v[name] * b2 + (1.0 - b2) * np.square(g)
+                ref[name] = ref[name] - (lr / bc1) * m[name] / (np.sqrt(v[name] / bc2) + eps)
+        for name, t in params.items():
+            assert t.data.dtype == np.float32
+            assert np.array_equal(t.data, ref[name])
+            assert np.array_equal(state.m[name], m[name])
+            assert np.array_equal(state.v[name], v[name])
 
     def test_defaults_match_contract(self):
         state = OptimizerState(param_set(w=np.zeros((1, 1))))
