@@ -79,6 +79,12 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def _count_truncated(token_lists: list[list[str]], corpus) -> int:
+    """Lines that frame() cut short because the frame holds fewer tokens."""
+    return sum(len(seq.tokens) < len(tokens)
+               for seq, tokens in zip(corpus, token_lists))
+
+
 def _dataset_config(args) -> ingest.DatasetConfig:
     if args.config:
         return ingest.load_config(args.config)
@@ -117,6 +123,7 @@ def cmd_train(args) -> int:
             "d": args.d, "heads": args.heads, "ffn_hidden": args.ffn_hidden,
             "blocks": args.blocks, "batch_size": args.batch_size,
             "frame_length": payload + 1, "vocab_size": len(vocab),
+            "messages_truncated": _count_truncated(token_lists, corpus),
             "final_loss": model.training_losses[-1] if model.training_losses else None,
             "losses": model.training_losses,
         },
@@ -153,8 +160,9 @@ def cmd_parse(args) -> int:
     pattern = compile_filter(filter_pattern)
     records = ingest.load_loghub_csv(args.data)
     payload = model.config.frame_length - 1
-    corpus = [frame(tokenize(r.content, pattern), payload, model.vocab,
-                    message_index=i) for i, r in enumerate(records, start=1)]
+    token_lists = [tokenize(r.content, pattern) for r in records]
+    corpus = [frame(toks, payload, model.vocab, message_index=i)
+              for i, toks in enumerate(token_lists, start=1)]
     parsed, templates = extraction.parse_corpus(model, corpus, epsilon)
     rows = [(r.line_id, p.template_id, p.template,
              json.dumps(p.variables, ensure_ascii=False))
@@ -166,7 +174,8 @@ def cmd_parse(args) -> int:
                [(tid, template, counts[tid]) for tid, template in enumerate(templates)])
     _write_manifest(args.out, "parse", Path(args.data).stem,
                     {"data": str(args.data), "model": str(args.model),
-                     "epsilon": epsilon, "tokenization_filter": filter_pattern},
+                     "epsilon": epsilon, "tokenization_filter": filter_pattern,
+                     "messages_truncated": _count_truncated(token_lists, corpus)},
                     None, started, [args.out, templates_path])
     log.info("parsed %d messages into %d templates", len(parsed), len(templates))
     return 0

@@ -8,6 +8,14 @@ central finite differences are trustworthy.
 Each kernel builds the output tensor together with a vector-Jacobian
 closure; backward() walks the tape in reverse topological order. Kernels
 skip the tape entirely when no input is being tracked (see no_grad).
+
+Gradient ownership: a vjp returns, per parent, either a fresh array that
+it does not keep or a view of its incoming gradient g. backward() adopts
+a fresh array (one that owns its data) of the parent's shape and dtype as
+the parent's grad, copies a view (g itself included), zero-fills and adds
+a contribution of another shape or dtype, and adds every later
+contribution in place. Each grad is thus an array no other tensor holds,
+and a fresh contribution costs no extra pass over memory.
 """
 from __future__ import annotations
 
@@ -97,9 +105,16 @@ class Tensor:
             for parent, contribution in zip(node._parents, node._vjp(node.grad)):
                 if contribution is None:
                     continue
-                if parent.grad is None:
+                if parent.grad is not None:
+                    parent.grad += contribution
+                elif (contribution.shape != parent.data.shape
+                      or contribution.dtype != parent.data.dtype):
                     parent.grad = np.zeros_like(parent.data)
-                parent.grad += contribution
+                    parent.grad += contribution
+                elif contribution.base is None and contribution is not node.grad:
+                    parent.grad = contribution
+                else:
+                    parent.grad = contribution.copy()
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -252,7 +267,11 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
     def vjp(g):
         grad_table = np.zeros_like(table.data)
-        np.add.at(grad_table, ids.reshape(-1), g.reshape(-1, table.cols))
+        d = table.cols
+        # scatter element by element on the flat table: numpy's fast 1-D
+        # path, with each element's additions in the same row order
+        flat = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        np.add.at(grad_table.reshape(-1), flat, g.reshape(-1))
         return (grad_table,)
 
     return _make(data, (table,), vjp)
@@ -428,12 +447,15 @@ def optimizer_step(params: ParameterSet, state: OptimizerState) -> None:
         t.grad = None
 
 
-def finite_difference_check(loss_fn, params: ParameterSet, h: float = 1e-3) -> float:
+def finite_difference_check(loss_fn, params: ParameterSet, h: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central differences.
 
     loss_fn must rebuild the loss from the current parameter values on every
     call. Run with float64 parameters; at float32 the differences drown in
-    rounding noise. The relative error denominator is floored at 1e-3 so
+    rounding noise. At h=1e-5 the truncation error of central differences
+    stays small past one encoder block (at 1e-3 it alone reaches 1e-2 on a
+    correct two-block model), while float64 rounding in the difference
+    stays near 1e-11. The relative error denominator is floored at 1e-3 so
     coordinates with near-zero gradient compare absolutely.
     """
     params.zero_grad()

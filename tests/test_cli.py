@@ -157,6 +157,24 @@ class TestParse:
         assert read_csv(out) == []
         assert read_csv(Path(out).with_suffix(".templates.csv")) == []
 
+    def test_manifest_counts_truncated_lines(self, tmp_path):
+        train_data = tmp_path / "short.csv"
+        train_data.write_text("LineId,Content\n1,a b c\n2,a d c\n",
+                              encoding="utf-8")
+        model = tmp_path / "short.nulog"
+        assert main(["train", "--data", str(train_data),
+                     "--out-model", str(model), *TINY_DIMS]) == 0
+        trained = json.loads(Path(f"{model}.manifest.json").read_text())
+        assert trained["config"]["messages_truncated"] == 0
+        parse_data = tmp_path / "long.csv"
+        parse_data.write_text("LineId,Content\n1,a b c x y z w\n2,a b c\n",
+                              encoding="utf-8")
+        out = tmp_path / "parsed.csv"
+        assert main(["parse", "--data", str(parse_data), "--model", str(model),
+                     "--epsilon", "1", "--out", str(out)]) == 0
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"]["messages_truncated"] == 1
+
     def test_missing_model_is_io_error(self, workspace, tmp_path):
         code = main(["parse", "--data", str(workspace["data"]),
                      "--model", str(tmp_path / "absent.nulog"),

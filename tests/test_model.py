@@ -230,9 +230,7 @@ class TestForwardLogits:
         def loss_fn():
             return cross_entropy(model.forward_logits(ids), targets)
 
-        # two blocks curve more: at the default h of 1e-3 the truncation
-        # error of central differences alone reaches 1e-2, with either path
-        error = finite_difference_check(loss_fn, model.params, h=1e-5)
+        error = finite_difference_check(loss_fn, model.params)
         assert error <= 1e-5, f"gradient mismatch {error:.2e}"
 
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from nulog import numerics
 from nulog.errors import ShapeError, StaleGradientError, ValidationError
+from nulog.model import Model, ModelConfig, train_epoch
 from nulog.numerics import (OptimizerState, ParameterSet, Tensor, add,
                             concat_cols, cross_entropy, embedding,
                             finite_difference_check, first_row,
@@ -192,6 +193,140 @@ class TestBackwardHandDerived:
             out.backward()
 
 
+def zero_then_add_backward(loss: Tensor) -> None:
+    """backward() as it was before gradient adoption: every first
+    contribution lands in a fresh zero array."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        stack.extend((p, False) for p in node._parents if id(p) not in seen)
+    loss.grad = np.ones((), dtype=loss.data.dtype)
+    for node in reversed(order):
+        if node._vjp is None or node.grad is None:
+            continue
+        for parent, contribution in zip(node._parents, node._vjp(node.grad)):
+            if contribution is None:
+                continue
+            if parent.grad is None:
+                parent.grad = np.zeros_like(parent.data)
+            parent.grad += contribution
+
+
+def assert_grads_disjoint(tensors) -> None:
+    for i, a in enumerate(tensors):
+        for b in tensors[i + 1:]:
+            assert not np.shares_memory(a.grad, b.grad), (a, b)
+
+
+class TestGradientOwnership:
+    """backward() hands a fresh vjp output to its parent as the grad and
+    copies views; the results must equal zero-then-add bit for bit, and no
+    grad may share memory with another."""
+
+    @staticmethod
+    def leaves(rng, *shapes, dtype=np.float32):
+        return [Tensor(rng.normal(size=shape).astype(dtype), requires_grad=True)
+                for shape in shapes]
+
+    def both_ways(self, build, leaves):
+        """Gradients of build(*leaves) from backward() and from the reference."""
+        results = []
+        for run in (Tensor.backward, zero_then_add_backward):
+            for t in leaves:
+                t.grad = None
+            nodes = build(*leaves)
+            run(nodes[-1])
+            results.append([t.grad.copy() for t in (*leaves, *nodes[:-1])])
+        return results
+
+    def test_equal_shape_add_gives_each_parent_its_own_array(self):
+        rng = np.random.default_rng(0)
+        x, y = self.leaves(rng, (3, 4), (3, 4))
+        s = add(x, y)
+        cross_entropy(s, np.array([0, 3, 1])).backward()
+        assert x.grad is not y.grad
+        assert np.array_equal(x.grad, s.grad)
+        assert np.array_equal(y.grad, s.grad)
+        assert_grads_disjoint([x, y, s])
+
+    def test_later_contribution_stays_in_its_own_grad(self):
+        rng = np.random.default_rng(1)
+        x, y = self.leaves(rng, (3, 4), (3, 4))
+        z = add(x, y)
+        out = add(z, x)
+        cross_entropy(out, np.array([2, 2, 0])).backward()
+        assert np.array_equal(z.grad, out.grad)
+        assert np.array_equal(y.grad, out.grad)
+        assert np.array_equal(x.grad, out.grad + out.grad)
+        assert_grads_disjoint([x, y, z, out])
+
+    def test_tensor_feeding_two_matmuls(self):
+        rng = np.random.default_rng(2)
+        leaves = self.leaves(rng, (2, 3, 4), (4, 5), (4, 5))
+
+        def build(x, w1, w2):
+            h = add(matmul(x, w1), matmul(x, w2))
+            logits = first_row(h)
+            return h, logits, cross_entropy(logits, np.array([4, 1]))
+
+        new, old = self.both_ways(build, leaves)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+        assert_grads_disjoint(leaves)
+
+    def test_concat_and_transpose_chain(self):
+        rng = np.random.default_rng(3)
+        leaves = self.leaves(rng, (3, 2), (3, 2), (5, 6))
+
+        def build(a, b, c):
+            # a enters twice, so its second slice is added onto its first
+            joined = concat_cols([a, b, a])
+            logits = matmul(joined, transpose(c))
+            return joined, logits, cross_entropy(logits, np.array([0, 4, 2]))
+
+        new, old = self.both_ways(build, leaves)
+        for a, b in zip(new, old):
+            assert np.array_equal(a, b)
+        assert_grads_disjoint(leaves)
+
+    def test_float64_contribution_keeps_a_float32_grad(self):
+        x = Tensor(np.ones((2, 3), dtype=np.float32), requires_grad=True)
+        y = Tensor(np.full((2, 3), 0.5), requires_grad=True)
+        s = add(x, y)
+        assert s.data.dtype == np.float64
+        sum_all(relu(s)).backward()
+        assert x.grad.dtype == np.float32
+        assert y.grad.dtype == np.float64
+        assert np.array_equal(x.grad, np.ones((2, 3)))
+
+    def test_training_steps_match_zero_then_add_bitwise(self, monkeypatch):
+        config = ModelConfig(vocab_size=20, frame_length=6, d=8, heads=2,
+                             ffn_hidden=16, blocks=2, batch_size=4, seed=7)
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, config.vocab_size, size=(10, config.frame_length))
+        ids[:, 0] = 0
+        targets = rng.integers(0, config.vocab_size, size=10)
+        trained = []
+        for run in (Tensor.backward, zero_then_add_backward):
+            monkeypatch.setattr(Tensor, "backward", run)
+            model = Model(config, rng=np.random.default_rng(0))
+            opt = OptimizerState(model.params)
+            for _ in range(3):
+                train_epoch(model, opt, ids, targets)
+            trained.append(model)
+        new, old = trained
+        for name, t in new.params.items():
+            assert t.data.dtype == np.float32
+            assert np.array_equal(t.data, old.params[name].data), name
+
+
 def fd_case(build, **arrays):
     """Assert analytic gradients of build(params) match finite differences."""
     params = param_set(**arrays)
@@ -288,6 +423,25 @@ class TestEmbeddingScatter:
     def test_out_of_range_id_rejected(self):
         with pytest.raises(IndexError):
             embedding(Tensor(np.zeros((3, 2))), np.array([[7]]))
+
+    def test_flat_scatter_equals_the_row_wise_scatter_bitwise(self):
+        rng = np.random.default_rng(12)
+        table = Tensor(rng.normal(size=(9, 6)).astype(np.float32),
+                       requires_grad=True)
+        # CLS 0, MASK 1 and PAD 2 repeat as in framed batches, and so do
+        # several vocabulary ids; magnitudes vary so the order of the
+        # additions shows in the float32 sums
+        ids = np.array([[0, 5, 1, 5, 7, 2, 2, 2, 2],
+                        [0, 4, 4, 1, 8, 5, 2, 2, 2],
+                        [0, 7, 5, 4, 1, 7, 4, 2, 2],
+                        [0, 8, 8, 8, 5, 1, 2, 2, 2]])
+        g = (rng.normal(size=(4, 9, 6))
+             * 10.0 ** rng.integers(-4, 5, size=(4, 9, 6))).astype(np.float32)
+        (grad,) = embedding(table, ids)._vjp(g)
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, ids.reshape(-1), g.reshape(-1, 6))
+        assert grad.dtype == np.float32
+        assert np.array_equal(grad, expected)
 
 
 class TestParameterSet:
