@@ -6,9 +6,11 @@ checker, and the archive writer see one flat namespace; parameter_shapes is
 the one list of their names and shapes. forward_logits is the one forward
 pass behind training, fine-tuning, parsing and classification; because the
 head reads the CLS row alone, its last block computes that row alone.
-predict_proba is the one softmax over head logits, and train_epoch the one
-optimisation pass, shared by masked-token pretraining and supervised
-fine-tuning.
+Attention scores its query rows against the rows of x themselves, as
+(q·wk^T)·x^T, and takes (p·x)·wv for the output, so for that one row no
+block forms the keys and values of every row. predict_proba is the one
+softmax over head logits, and train_epoch the one optimisation pass,
+shared by masked-token pretraining and supervised fine-tuning.
 """
 from __future__ import annotations
 
@@ -143,23 +145,46 @@ class Model:
         """Multi-head self-attention; head outputs are concatenated, no extra
         output projection.
 
-        Keys and values come from every row of x; queries from the rows of
-        query, x itself by default. The output has one row per query row.
+        Every row of x is attended to; queries come from the rows of query,
+        x itself by default. The output has one row per query row.
+
+        Per head, with q = query·wq, the scores q·(x·wk)^T equal
+        (q·wk^T)·x^T and the output p·(x·wv) equals (p·x)·wv. Both are
+        computed in the second order, all heads in one batched product, so
+        the keys and values of every row are never formed: for the one CLS
+        query row of the last block that costs O(T·d) per head instead of
+        O(T·d·w). Heads move between the batch axis and the row axis with
+        rearrange; collect receives one (B, H*Tq, T) weight array per call,
+        its rows head-major (row h*Tq + t is head h, query row t).
         """
         cfg = self.config
-        inv_temp = 1.0 / math.sqrt(cfg.head_width)
+        H, w, d = cfg.heads, cfg.head_width, cfg.d
         query = x if query is None else query
-        heads = []
-        for h in range(cfg.heads):
-            q = numerics.matmul(query, self.params[f"block{block}.head{h}.wq"])
-            k = numerics.matmul(x, self.params[f"block{block}.head{h}.wk"])
-            v = numerics.matmul(x, self.params[f"block{block}.head{h}.wv"])
-            scores = numerics.scale(numerics.matmul(q, numerics.transpose(k)), inv_temp)
-            weights = numerics.softmax_rows(scores)
-            if collect is not None:
-                collect.append(weights.data)
-            heads.append(numerics.matmul(weights, v))
-        return numerics.concat_cols(heads)
+        B, Tq = query.shape[0], query.rows
+
+        def side_by_side(kind: str) -> Tensor:
+            """The per-head (d, w) weights of one kind as one (d, H*w) matrix."""
+            return numerics.concat_cols([self.params[f"block{block}.head{h}.{kind}"]
+                                         for h in range(H)])
+
+        wq, wk, wv = side_by_side("wq"), side_by_side("wk"), side_by_side("wv")
+        # per-head queries q_h, with the heads in the batch axis: (H, B*Tq, w)
+        q = numerics.rearrange(numerics.matmul(query, wq), (B, Tq, H, w), (2, 0, 1, 3),
+                               (H, B * Tq, w))
+        # q_h·wk_h^T, one row per head and query row: (B, H*Tq, d)
+        u = numerics.matmul(q, numerics.rearrange(wk, (d, H, w), (1, 2, 0), (H, w, d)))
+        u = numerics.rearrange(u, (H, B, Tq, d), (1, 0, 2, 3), (B, H * Tq, d))
+        scores = numerics.scale(numerics.matmul(u, numerics.transpose(x)),
+                                1.0 / math.sqrt(w))
+        weights = numerics.softmax_rows(scores)
+        if collect is not None:
+            collect.append(weights.data)
+        # p_h·x, back with the heads in the batch axis: (H, B*Tq, d)
+        ctx = numerics.rearrange(numerics.matmul(weights, x), (B, H, Tq, d), (1, 0, 2, 3),
+                                 (H, B * Tq, d))
+        # (p_h·x)·wv_h, the heads side by side again: (B, Tq, H*w)
+        out = numerics.matmul(ctx, numerics.rearrange(wv, (d, H, w), (1, 0, 2), (H, d, w)))
+        return numerics.rearrange(out, (H, B, Tq, w), (1, 2, 0, 3), (B, Tq, d))
 
     def encoder_forward(self, x: Tensor, collect_attention: list | None = None,
                         cls_only: bool = False) -> Tensor:

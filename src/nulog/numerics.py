@@ -5,6 +5,12 @@ equally shaped matrices); nothing more general is supported. Training runs
 in float32. Gradient verification runs the same graph in float64, where
 central finite differences are trustworthy.
 
+The kernels are matmul, add, scale, transpose, relu, softmax_rows,
+layer_norm_rows, embedding, concat_cols, rearrange, first_row,
+cross_entropy and sum_all. rearrange regroups axes (reshape, transpose,
+reshape), so attention can move its heads between the batch axis and the
+row or column axis while every value stays rank 2 or 3.
+
 Each kernel builds the output tensor together with a vector-Jacobian
 closure; backward() walks the tape in reverse topological order. Kernels
 skip the tape entirely when no input is being tracked (see no_grad).
@@ -187,7 +193,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def vjp(g):
         if b.data.ndim == 2:
             rows = _rows(g)
-            grad_a = (rows @ b.data.T).reshape(a.data.shape)
+            # written into an array of a's shape, so backward can adopt it
+            grad_a = np.empty(a.data.shape, np.result_type(g.dtype, b.data.dtype))
+            np.matmul(rows, b.data.T, out=_rows(grad_a))
             grad_b = _rows(a.data).T @ rows
         else:
             grad_a = g @ b.data.swapaxes(-1, -2)
@@ -275,6 +283,26 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
         return (grad_table,)
 
     return _make(data, (table,), vjp)
+
+
+def rearrange(a: Tensor, split: tuple[int, ...], axes: tuple[int, ...],
+              shape: tuple[int, ...]) -> Tensor:
+    """Regroup the elements of a: reshape to split, transpose by axes, then
+    reshape to shape, e.g. (B, T, H*w) -> (H, B*T, w) moves the heads into
+    the batch axis. split may have any rank; a and the result are rank 2
+    or 3. Backward applies the inverse regrouping to the gradient.
+    """
+    if a.data.ndim not in (2, 3) or len(shape) not in (2, 3):
+        raise ShapeError(f"rearrange maps rank 2 or 3 to rank 2 or 3, "
+                         f"got {a.data.shape} to {tuple(shape)}")
+    moved = tuple(split[i] for i in axes)
+    data = a.data.reshape(split).transpose(axes).reshape(shape)
+    inverse = np.argsort(axes)
+
+    def vjp(g):
+        return (g.reshape(moved).transpose(inverse).reshape(a.data.shape),)
+
+    return _make(data, (a,), vjp)
 
 
 def concat_cols(parts: list[Tensor]) -> Tensor:

@@ -173,6 +173,69 @@ class TestAttention:
             assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-6)
 
 
+def per_head_attention(model, x, block, query):
+    """The attention formula head by head: project q, k and v, take
+    softmax(q k^T / sqrt(w)) v, then concatenate the heads."""
+    config, outputs, weights = model.config, [], []
+    for h in range(config.heads):
+        def param(kind):
+            return model.params[f"block{block}.head{h}.{kind}"].data
+        q, k, v = query @ param("wq"), x @ param("wk"), x @ param("wv")
+        scores = q @ k.swapaxes(-1, -2) / math.sqrt(config.head_width)
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        weights.append(e / e.sum(axis=-1, keepdims=True))
+        outputs.append(weights[-1] @ v)
+    return np.concatenate(outputs, axis=-1), weights
+
+
+class TestReassociatedAttention:
+    """attention scores (q wk^T) x^T and outputs (p x) wv; in float64 that
+    must equal the per-head formula that forms keys and values."""
+
+    @pytest.mark.parametrize("heads", [1, 2, 4])
+    @pytest.mark.parametrize("cls_query", [False, True])
+    def test_equals_the_per_head_formula(self, heads, cls_query):
+        model = Model(tiny_config(heads=heads, blocks=2),
+                      rng=np.random.default_rng(heads), dtype=np.float64)
+        x = Tensor(np.random.default_rng(10 + heads).normal(size=(3, 6, 8)))
+        query = numerics.first_row(x, keep_rows=True) if cls_query else x
+        for block in (0, 1):
+            out = model.attention(x, block, query=query).data
+            expected, _ = per_head_attention(model, x.data, block, query.data)
+            assert out.shape == query.data.shape
+            assert np.max(np.abs(out - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("blocks", [1, 2])
+    def test_forward_logits_equal_the_per_head_formula(self, blocks, monkeypatch):
+        config = tiny_config(heads=4, blocks=blocks)
+        model = Model(config, rng=np.random.default_rng(0), dtype=np.float64)
+        ids = np.random.default_rng(1).integers(0, config.vocab_size, size=(5, 6))
+        logits = model.forward_logits(ids).data
+
+        def reference(x, block, collect=None, query=None):
+            query = x if query is None else query
+            return Tensor(per_head_attention(model, x.data, block, query.data)[0])
+
+        monkeypatch.setattr(model, "attention", reference)
+        expected = model.forward_logits(ids).data
+        assert np.max(np.abs(logits - expected)) <= 1e-12
+
+    def test_collects_one_head_major_array_per_block(self):
+        config = tiny_config(heads=4, blocks=2)
+        model = Model(config, rng=np.random.default_rng(0), dtype=np.float64)
+        x = model.embed(np.random.default_rng(1).integers(0, 20, size=(3, 6)))
+        collected = []
+        model.encoder_forward(x, collect_attention=collected)
+        assert len(collected) == 2
+        for weights in collected:
+            assert weights.shape == (3, 4 * 6, 6)
+            assert np.allclose(weights.sum(axis=-1), 1.0, atol=1e-12)
+        _, expected = per_head_attention(model, x.data, 0, x.data)
+        for h in range(4):
+            assert np.allclose(collected[0][:, h * 6:(h + 1) * 6], expected[h],
+                               atol=1e-12)
+
+
 class TestEncoderForward:
     def test_shape_preserved(self):
         for blocks in (1, 2):

@@ -15,8 +15,8 @@ from nulog.model import Model, ModelConfig, train_epoch
 from nulog.numerics import (OptimizerState, ParameterSet, Tensor, add,
                             concat_cols, cross_entropy, embedding,
                             finite_difference_check, first_row,
-                            layer_norm_rows, matmul, no_grad, relu,
-                            scale, softmax_rows, sum_all, transpose,
+                            layer_norm_rows, matmul, no_grad, rearrange,
+                            relu, scale, softmax_rows, sum_all, transpose,
                             optimizer_step)
 
 
@@ -97,6 +97,24 @@ class TestKernelValues:
         with pytest.raises(ShapeError):
             layer_norm_rows(Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))),
                             Tensor(np.zeros((1, 2))))
+
+    @pytest.mark.parametrize("shape, split, axes, target", [
+        ((2, 3, 8), (2, 3, 4, 2), (2, 0, 1, 3), (4, 6, 2)),
+        ((6, 8), (6, 4, 2), (1, 2, 0), (4, 2, 6)),
+        ((4, 6, 5), (2, 2, 6, 5), (1, 0, 2, 3), (2, 12, 5)),
+    ])
+    def test_rearrange_then_its_inverse_is_the_identity(self, shape, split, axes,
+                                                        target):
+        a = np.random.default_rng(3).normal(size=shape).astype(np.float32)
+        out = rearrange(Tensor(a), split, axes, target)
+        assert out.data.shape == target
+        inverse = np.argsort(axes)
+        back = rearrange(out, tuple(split[i] for i in axes), inverse, shape)
+        assert np.array_equal(back.data, a)
+
+    def test_rearrange_keeps_rank_two_or_three(self):
+        with pytest.raises(ShapeError):
+            rearrange(Tensor(np.zeros((2, 3, 4))), (2, 3, 4), (0, 1, 2), (2, 3, 2, 2))
 
     def test_relu(self):
         assert relu(Tensor([[-1.0, 2.0]])).data.tolist() == [[0.0, 2.0]]
@@ -306,6 +324,19 @@ class TestGradientOwnership:
         assert y.grad.dtype == np.float64
         assert np.array_equal(x.grad, np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(6, 4), (3, 5, 4)])
+    def test_shared_weight_matmul_grad_a_is_adopted(self, shape):
+        rng = np.random.default_rng(5)
+        x, w = self.leaves(rng, shape, (4, 7))
+        out = matmul(x, w)
+        returned = []
+        vjp = out._vjp
+        out._vjp = lambda g: returned.append(vjp(g)) or returned[-1]
+        sum_all(out).backward()
+        assert x.grad is returned[0][0]
+        assert x.grad.flags.owndata and x.grad.shape == shape
+        assert np.allclose(x.grad, np.ones(shape[:-1] + (7,)) @ w.data.T, atol=1e-5)
+
     def test_training_steps_match_zero_then_add_bitwise(self, monkeypatch):
         config = ModelConfig(vocab_size=20, frame_length=6, d=8, heads=2,
                              ffn_hidden=16, blocks=2, batch_size=4, seed=7)
@@ -369,6 +400,43 @@ class TestFiniteDifferences:
         fd_case(build, x=rng.normal(size=(4, 4)),
                 wq=rng.normal(size=(4, 2)), wk=rng.normal(size=(4, 2)),
                 wv=rng.normal(size=(4, 2)))
+
+    def test_reassociated_attention_composition(self):
+        # the order Model.attention runs: two heads of width 2 over d = 4,
+        # scores (q wk^T) x^T and output (p x) wv, heads in the batch axis
+        rng = np.random.default_rng(12)
+        B, T, H, w, d = 2, 3, 2, 2, 4
+
+        def build(p):
+            wq = concat_cols([p["wq0"], p["wq1"]])
+            wk = concat_cols([p["wk0"], p["wk1"]])
+            wv = concat_cols([p["wv0"], p["wv1"]])
+            q = rearrange(matmul(p["x"], wq), (B, T, H, w), (2, 0, 1, 3), (H, B * T, w))
+            u = matmul(q, rearrange(wk, (d, H, w), (1, 2, 0), (H, w, d)))
+            u = rearrange(u, (H, B, T, d), (1, 0, 2, 3), (B, H * T, d))
+            weights = softmax_rows(scale(matmul(u, transpose(p["x"])),
+                                         1.0 / math.sqrt(w)))
+            ctx = rearrange(matmul(weights, p["x"]), (B, H, T, d), (1, 0, 2, 3),
+                            (H, B * T, d))
+            out = matmul(ctx, rearrange(wv, (d, H, w), (1, 0, 2), (H, d, w)))
+            out = rearrange(out, (H, B, T, w), (1, 2, 0, 3), (B, T, d))
+            return sum_all(matmul(relu(out), p["r"]))
+
+        fd_case(build, x=rng.normal(size=(B, T, d)), r=rng.normal(size=(d, 1)),
+                **{f"w{kind}{h}": rng.normal(size=(d, w))
+                   for kind in "qkv" for h in range(H)})
+
+    def test_rearrange_3d_to_3d(self):
+        rng = np.random.default_rng(13)
+        fd_case(lambda p: sum_all(matmul(softmax_rows(
+            rearrange(p["a"], (2, 3, 2, 2), (2, 0, 1, 3), (2, 6, 2))), p["w"])),
+            a=rng.normal(size=(2, 3, 4)), w=rng.normal(size=(2, 3)))
+
+    def test_rearrange_2d_to_3d(self):
+        rng = np.random.default_rng(14)
+        fd_case(lambda p: sum_all(relu(matmul(
+            rearrange(p["a"], (4, 2, 3), (1, 2, 0), (2, 3, 4)), p["w"]))),
+            a=rng.normal(size=(4, 6)), w=rng.normal(size=(4, 2)))
 
     def test_layer_norm_gradients(self):
         rng = np.random.default_rng(6)
