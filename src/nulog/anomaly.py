@@ -2,9 +2,10 @@
 
 Two routes share one pretrained encoder: an unsupervised verdict from the
 fraction of surprising tokens per message (the complement of extraction's
-constant_masks, which scores the masked samples of every test message in
-shared chunks), and a supervised verdict from a two-way head fine-tuned on
-the CLS embedding with the same train_epoch as pretraining.
+constant_masks, which scores each distinct masked input of the test
+messages once, in shared chunks), and a supervised verdict from a two-way
+head fine-tuned on the CLS embedding with the same train_epoch as
+pretraining.
 """
 from __future__ import annotations
 

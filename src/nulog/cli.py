@@ -79,10 +79,13 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _count_truncated(token_lists: list[list[str]], corpus) -> int:
-    """Lines that frame() cut short because the frame holds fewer tokens."""
-    return sum(len(seq.tokens) < len(tokens)
-               for seq, tokens in zip(corpus, token_lists))
+def _count_truncated(token_lists: list[list[str]], corpus,
+                     repeats: list[int] | None = None) -> int:
+    """Lines that frame() cut short because the frame holds fewer tokens;
+    with repeats, the i-th token list stands for repeats[i] lines."""
+    repeats = repeats or [1] * len(corpus)
+    return sum(n for n, seq, tokens in zip(repeats, corpus, token_lists)
+               if len(seq.tokens) < len(tokens))
 
 
 def _dataset_config(args) -> ingest.DatasetConfig:
@@ -160,24 +163,36 @@ def cmd_parse(args) -> int:
     pattern = compile_filter(filter_pattern)
     records = ingest.load_loghub_csv(args.data)
     payload = model.config.frame_length - 1
-    token_lists = [tokenize(r.content, pattern) for r in records]
+    # identical lines parse identically: tokenize, frame, score and format
+    # each distinct content once, in first-appearance order
+    first_line: dict[str, int] = {}
+    for i, r in enumerate(records, start=1):
+        first_line.setdefault(r.content, i)
+    repeats = list(Counter(r.content for r in records).values())  # same order
+    token_lists = [tokenize(content, pattern) for content in first_line]
     corpus = [frame(toks, payload, model.vocab, message_index=i)
-              for i, toks in enumerate(token_lists, start=1)]
-    parsed, templates = extraction.parse_corpus(model, corpus, epsilon)
-    rows = [(r.line_id, p.template_id, p.template,
-             json.dumps(p.variables, ensure_ascii=False))
-            for r, p in zip(records, parsed)]
+              for toks, i in zip(token_lists, first_line.values())]
+    parsed, templates, scored = extraction.parse_corpus(model, corpus, epsilon)
+    row_of = {content: (p.template_id, p.template,
+                        json.dumps(p.variables, ensure_ascii=False))
+              for content, p in zip(first_line, parsed)}
+    rows = [(r.line_id, *row_of[r.content]) for r in records]
     _write_csv(args.out, ["line_id", "template_id", "template", "variables"], rows)
-    counts = Counter(p.template_id for p in parsed)
+    counts = Counter(row[1] for row in rows)
     templates_path = Path(args.out).with_suffix(".templates.csv")
     _write_csv(templates_path, ["template_id", "template", "count"],
                [(tid, template, counts[tid]) for tid, template in enumerate(templates)])
     _write_manifest(args.out, "parse", Path(args.data).stem,
                     {"data": str(args.data), "model": str(args.model),
                      "epsilon": epsilon, "tokenization_filter": filter_pattern,
-                     "messages_truncated": _count_truncated(token_lists, corpus)},
+                     "lines": len(records), "distinct_lines": len(corpus),
+                     "masked_samples": sum(n * len(seq.tokens)
+                                           for n, seq in zip(repeats, corpus)),
+                     "masked_inputs_scored": scored,
+                     "messages_truncated": _count_truncated(token_lists, corpus,
+                                                            repeats)},
                     None, started, [args.out, templates_path])
-    log.info("parsed %d messages into %d templates", len(parsed), len(templates))
+    log.info("parsed %d messages into %d templates", len(records), len(templates))
     return 0
 
 
@@ -200,19 +215,29 @@ def _parsed_line_id(row: dict, path) -> int:
             f"{path}: non-integer line_id {row['line_id']!r}") from None
 
 
+def _reject_repeats(ids, path, column: str) -> None:
+    """A repeated line id would silently overwrite the line it repeats."""
+    seen = set()
+    for line_id in ids:
+        if line_id in seen:
+            raise ingest.SchemaError(f"{path}: {column} {line_id} appears more than once")
+        seen.add(line_id)
+
+
 def _evaluate_pair(parsed_path, truth_path, pattern) -> tuple[float, float | None]:
     parsed = _read_parsed(parsed_path)
     truth = ingest.load_loghub_csv(truth_path)
     if any(r.event_id is None for r in truth):
         raise ingest.SchemaError(f"{truth_path}: EventId column required")
-    predicted_groups = {_parsed_line_id(row, parsed_path): row["template_id"]
-                        for row in parsed}
+    line_ids = [_parsed_line_id(row, parsed_path) for row in parsed]
+    _reject_repeats(line_ids, parsed_path, "line_id")
+    _reject_repeats((r.line_id for r in truth), truth_path, "LineId")
+    predicted_groups = {i: row["template_id"] for i, row in zip(line_ids, parsed)}
     truth_groups = {r.line_id: r.event_id for r in truth}
     pa = evaluation.parsing_accuracy(predicted_groups, truth_groups)
     distance = None
     if all(r.template is not None for r in truth):
-        by_line = {_parsed_line_id(row, parsed_path): row["template"]
-                   for row in parsed}
+        by_line = {i: row["template"] for i, row in zip(line_ids, parsed)}
         pairs = [(by_line[r.line_id], r.template) for r in truth]
         distance = evaluation.mean_template_edit_distance(
             [p for p, _ in pairs], [t for _, t in pairs], pattern)

@@ -2,15 +2,17 @@
 only when the model ranks the true token inside the top epsilon candidates.
 
 constant_masks applies that rule to many messages at once, for parsing here
-and, as its complement, for anomaly scoring. It scores their masked samples
-in chunks of MASK_CHUNK, one forward pass per chunk, whichever message each
-sample came from; constant_mask is its one-message case. Tokens the rule
-rejects become the placeholder and their original text is reported as that
-message's variable list, in token order.
+and, as its complement, for anomaly scoring. The rule reads only a masked
+input and its true token, so each distinct masked input is scored once,
+in chunks of MASK_CHUNK distinct inputs, one forward pass per chunk,
+whichever messages the input came from; constant_mask is its one-message
+case. A message's result does not depend on which other messages share its
+chunks or its masked inputs. Tokens the rule rejects become the placeholder
+and their original text is reported as that message's variable list, in
+token order.
 """
 from __future__ import annotations
 
-import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -71,25 +73,56 @@ def is_constant(probabilities: np.ndarray, true_id: int, epsilon: int) -> bool:
     return bool(rank < epsilon)
 
 
+def _score(model: Model, seqs: list[TokenSequence],
+           epsilon: int) -> tuple[list[np.ndarray], int]:
+    """constant_masks, plus how many distinct masked inputs were scored."""
+    if epsilon <= 0:
+        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    index: dict[bytes, int] = {}
+    inputs: list[masking.MaskedSample] = []
+    input_of: list[int] = []
+    targets: list[int] = []
+    for seq in seqs:
+        for sample in masking.enumerate_masks(seq):
+            key = sample.input_ids.tobytes()
+            row = index.get(key)
+            if row is None:
+                row = index[key] = len(inputs)
+                inputs.append(sample)
+            input_of.append(row)
+            targets.append(sample.target_id)
+    rows = np.array(input_of, dtype=np.int64)
+    true_ids = np.array(targets, dtype=np.int64)
+    flat = true_ids != UNK_ID
+    # samples sorted by input: the samples of one chunk of inputs are one
+    # run of this order
+    order = np.argsort(rows, kind="stable")
+    starts = range(0, len(inputs), MASK_CHUNK)
+    bounds = np.searchsorted(rows[order], [*starts, len(inputs)])
+    for start, lo, hi in zip(starts, bounds, bounds[1:]):
+        probabilities = model.predict_masked_batch(inputs[start:start + MASK_CHUNK])
+        # rank MASK_CHUNK samples at a time, so a popular input held by
+        # many samples never gathers more than MASK_CHUNK rows
+        for first in range(lo, hi, MASK_CHUNK):
+            part = order[first:min(first + MASK_CHUNK, hi)]
+            ranks = _ranks(probabilities[rows[part] - start], true_ids[part])
+            flat[part] &= ranks < epsilon
+    ends = np.cumsum([len(seq.tokens) for seq in seqs], dtype=np.int64)
+    masks = [flat[end - len(seq.tokens):end] for seq, end in zip(seqs, ends)]
+    return masks, len(inputs)
+
+
 def constant_masks(model: Model, seqs: list[TokenSequence],
                    epsilon: int) -> list[np.ndarray]:
     """The constancy rule for each token of each message, in token order.
 
     A token is constant when, masked, its true id ranks inside the top
-    epsilon candidates; an unknown token is never constant. A message's
-    result does not depend on which other messages share its chunks.
+    epsilon candidates; an unknown token is never constant. Each distinct
+    masked input goes to the model once and every sample that shares it is
+    ranked on its probability row, so a message's result does not depend on
+    which other messages share its chunks or its masked inputs.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    samples = (s for seq in seqs for s in masking.enumerate_masks(seq))
-    flags = [np.zeros(0, dtype=bool)]
-    while chunk := list(itertools.islice(samples, MASK_CHUNK)):
-        true_ids = np.array([s.target_id for s in chunk])
-        ranks = _ranks(model.predict_masked_batch(chunk), true_ids)
-        flags.append((ranks < epsilon) & (true_ids != UNK_ID))
-    flat = np.concatenate(flags)
-    ends = np.cumsum([len(seq.tokens) for seq in seqs], dtype=np.int64)
-    return [flat[end - len(seq.tokens):end] for seq, end in zip(seqs, ends)]
+    return _score(model, seqs, epsilon)[0]
 
 
 def constant_mask(model: Model, seq: TokenSequence, epsilon: int) -> np.ndarray:
@@ -110,32 +143,26 @@ def extract_template(model: Model, seq: TokenSequence,
     return _template(seq, constant_mask(model, seq, epsilon))
 
 
-def parse_corpus(model: Model, corpus: list[TokenSequence],
-                 epsilon: int) -> tuple[list[ParsedMessage], list[str]]:
-    """Parse every message, scoring each distinct token sequence once.
+def parse_corpus(model: Model, corpus: list[TokenSequence], epsilon: int
+                 ) -> tuple[list[ParsedMessage], list[str], int]:
+    """Parse every message, scoring each distinct masked input once.
 
-    Returns the parsed messages and the templates, indexed by template id;
-    ids are dense and follow first appearance. Identical token lists always
-    parse identically, so scoring one of them changes nothing but the
-    running time.
+    Returns the parsed messages, the templates indexed by template id, and
+    the number of distinct masked inputs the model scored; template ids are
+    dense and follow first appearance. Identical token lists share every
+    masked input, so they always parse identically.
     """
-    distinct: dict[tuple[str, ...], TokenSequence] = {}
-    for seq in corpus:
-        distinct.setdefault(tuple(seq.tokens), seq)
-    masks = constant_masks(model, list(distinct.values()), epsilon)
-    results = {key: _template(seq, mask)
-               for (key, seq), mask in zip(distinct.items(), masks)}
+    masks, scored = _score(model, corpus, epsilon)
     template_ids: dict[str, int] = {}
     parsed: list[ParsedMessage] = []
-    for seq in corpus:
-        template, variables = results[tuple(seq.tokens)]
+    for seq, mask in zip(corpus, masks):
+        template, variables = _template(seq, mask)
         parsed.append(ParsedMessage(message_index=seq.message_index,
                                     template_id=template_ids.setdefault(
                                         template, len(template_ids)),
                                     template=template,
-                                    variables=list(variables)))
-    samples = sum(len(seq.tokens) for seq in distinct.values())
-    log.info("scored %d messages as %d distinct sequences: %d masked samples "
-             "in %d forward calls", len(corpus), len(distinct), samples,
-             math.ceil(samples / MASK_CHUNK))
-    return parsed, list(template_ids)
+                                    variables=variables))
+    log.info("scored %d messages: %d masked samples as %d distinct inputs "
+             "in %d forward calls", len(corpus), sum(m.size for m in masks),
+             scored, math.ceil(scored / MASK_CHUNK))
+    return parsed, list(template_ids), scored

@@ -89,7 +89,7 @@ def run_benchmark(name: str, seed: int = 7):
     model_config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
                                epochs=config.epochs, seed=seed)
     model = train(seqs, model_config, vocab=vocab)
-    parsed, _ = parse_corpus(model, seqs, config.epsilon)
+    parsed, _, _ = parse_corpus(model, seqs, config.epsilon)
     predicted = {r.line_id: p.template_id for r, p in zip(records, parsed)}
     truth = {r.line_id: r.event_id for r in records}
     pa = parsing_accuracy(predicted, truth)
@@ -374,7 +374,7 @@ def test_criterion_9_synthetic_oracle_recovery():
                          d=64, heads=4, ffn_hidden=128, blocks=1, epochs=10,
                          batch_size=32, seed=7)
     model = train(seqs, config, vocab=vocab)
-    parsed, templates = parse_corpus(model, seqs, epsilon=12)
+    parsed, templates, _ = parse_corpus(model, seqs, epsilon=12)
     predicted = {i + 1: p.template_id for i, p in enumerate(parsed)}
     truth = {i + 1: event for i, event in enumerate(corpus.event_ids)}
     pa = parsing_accuracy(predicted, truth)

@@ -1,12 +1,17 @@
 """End-to-end command tests: every subcommand, its files, and exit codes."""
 import csv
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import synth
 from nulog.cli import main
+from nulog.extraction import PLACEHOLDER, constant_mask
+from nulog.ingest import load_loghub_csv
+from nulog.persistence import load_model
+from nulog.tokenizer import WHITESPACE_FILTER, frame, tokenize
 
 TINY_DIMS = ["--d", "16", "--heads", "2", "--ffn-hidden", "32",
              "--batch-size", "16"]
@@ -175,11 +180,66 @@ class TestParse:
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["config"]["messages_truncated"] == 1
 
+    def test_repeated_lines_match_a_line_by_line_reference(self, workspace,
+                                                           tmp_path):
+        contents = [r.content for r in load_loghub_csv(workspace["data"])]
+        long_line = contents[1] + " tail" * 40
+        lines = (contents[:40] + contents[5:15] + [long_line]
+                 + [contents[0].replace(" ", "  ", 1)] + [long_line]
+                 + contents[:3])
+        data = tmp_path / "repeats.csv"
+        with open(data, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["LineId", "Content"])
+            writer.writerows(enumerate(lines, start=1))
+        out, expected = tmp_path / "parsed.csv", tmp_path / "expected.csv"
+        assert main(["parse", "--data", str(data), "--model", str(workspace["model"]),
+                     "--out", str(out)]) == 0
+        parse_line_by_line(data, workspace["model"], 12, expected)
+        assert out.read_bytes() == expected.read_bytes()
+        assert (out.with_suffix(".templates.csv").read_bytes()
+                == expected.with_suffix(".templates.csv").read_bytes())
+        config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+        assert config["messages_truncated"] == 2
+        assert config["lines"] == len(lines)
+        assert config["distinct_lines"] == len(set(lines))
+        assert config["masked_samples"] == sum(
+            min(len(tokenize(line, WHITESPACE_FILTER)),
+                load_model(workspace["model"]).config.frame_length - 2)
+            for line in lines)
+        assert 0 < config["masked_inputs_scored"] < config["masked_samples"]
+
     def test_missing_model_is_io_error(self, workspace, tmp_path):
         code = main(["parse", "--data", str(workspace["data"]),
                      "--model", str(tmp_path / "absent.nulog"),
                      "--out", str(tmp_path / "p.csv")])
         assert code == 2
+
+
+def parse_line_by_line(data, model_path, epsilon, out):
+    """Reference parse: every line scored on its own, no caching."""
+    model = load_model(model_path)
+    payload = model.config.frame_length - 1
+    rows, template_ids, counts = [], {}, Counter()
+    for record in load_loghub_csv(data):
+        seq = frame(tokenize(record.content, WHITESPACE_FILTER), payload,
+                    model.vocab)
+        keep = constant_mask(model, seq, epsilon)
+        template = " ".join(t if k else PLACEHOLDER for t, k in zip(seq.tokens, keep))
+        variables = [t for t, k in zip(seq.tokens, keep) if not k]
+        template_id = template_ids.setdefault(template, len(template_ids))
+        counts[template_id] += 1
+        rows.append((record.line_id, template_id, template,
+                     json.dumps(variables, ensure_ascii=False)))
+    for path, header, body in (
+            (out, ["line_id", "template_id", "template", "variables"], rows),
+            (Path(out).with_suffix(".templates.csv"),
+             ["template_id", "template", "count"],
+             [(i, t, counts[i]) for t, i in template_ids.items()])):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(body)
 
 
 def write_eval_fixture(root):
@@ -241,6 +301,28 @@ class TestEval:
         code = main(["eval", "--parsed", str(parsed), "--truth", str(truth),
                      "--out", str(tmp_path / "report.csv")])
         assert code == 4
+
+    @pytest.mark.parametrize("repeated", ["parsed", "truth"])
+    def test_repeated_line_id_is_schema_error(self, tmp_path, capsys, repeated):
+        # lines 1, 1, 2 in one file and 1, 2 in the other used to pass,
+        # scored over whichever row of line 1 came last
+        parsed = tmp_path / "parsed.csv"
+        truth = tmp_path / "truth.csv"
+        parsed_ids = [1, 1, 2] if repeated == "parsed" else [1, 2]
+        truth_ids = [1, 1, 2] if repeated == "truth" else [1, 2]
+        with open(parsed, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["line_id", "template_id", "template", "variables"])
+            writer.writerows((i, 0, "stop now", "[]") for i in parsed_ids)
+        with open(truth, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["LineId", "Content", "EventId", "EventTemplate"])
+            writer.writerows((i, "stop now", "e1", "stop now") for i in truth_ids)
+        code = main(["eval", "--parsed", str(parsed), "--truth", str(truth),
+                     "--out", str(tmp_path / "report.csv")])
+        assert code == 4
+        column = "line_id" if repeated == "parsed" else "LineId"
+        assert f"{column} 1 appears more than once" in capsys.readouterr().err
 
     def test_missing_pair_flags_is_config_error(self, tmp_path):
         code = main(["eval", "--out", str(tmp_path / "report.csv")])

@@ -129,7 +129,46 @@ class CountingStub(StubModel):
         return super().predict_masked_batch(samples)
 
 
+class RecordingModel:
+    """A trained model that records every masked input it scores."""
+
+    def __init__(self, model):
+        self.model = model
+        self.calls = []
+        self.inputs = []
+
+    def predict_masked_batch(self, samples):
+        self.calls.append(len(samples))
+        self.inputs.extend(s.input_ids.tobytes() for s in samples)
+        return self.model.predict_masked_batch(samples)
+
+
 class TestConstantMasks:
+    def test_shared_masked_inputs_are_scored_once(self):
+        # a one-variable template: masking the variable gives every line the
+        # same input, held by more samples than one chunk ranks at a time
+        seqs, vocab = framed_corpus(
+            [f"session s{i} opened" for i in range(300)] + ["session s7 opened"])
+        payload = len(seqs[0].framed_ids) - 1
+        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+                             d=16, heads=2, ffn_hidden=32, epochs=2,
+                             batch_size=32, seed=7)
+        model = train(seqs, config, vocab=vocab)
+        samples = [s.input_ids.tobytes()
+                   for seq in seqs for s in masking.enumerate_masks(seq)]
+        distinct = set(samples)
+        assert len(distinct) == 2 * 300 + 1 < len(samples)
+        verdicts = set()
+        for epsilon in (1, 3, 8):
+            recorder = RecordingModel(model)
+            batched = constant_masks(recorder, seqs, epsilon)
+            assert sorted(recorder.inputs) == sorted(distinct)
+            assert recorder.calls == [MASK_CHUNK, MASK_CHUNK, len(distinct) - 2 * MASK_CHUNK]
+            for seq, mask in zip(seqs, batched):
+                assert np.array_equal(mask, constant_mask(model, seq, epsilon))
+            verdicts.update(np.concatenate(batched).tolist())
+        assert verdicts == {True, False}
+
     def test_batched_equals_per_message_across_chunks(self):
         # more masked samples than one chunk holds, an empty message and
         # tokens the vocabulary has never seen
@@ -224,7 +263,7 @@ class TestParseCorpus:
     def test_identical_messages_form_one_group(self):
         seqs, vocab = framed_corpus(["same line here"] * 7)
         model = StubModel(len(vocab), set(range(4, len(vocab))))
-        parsed, templates = parse_corpus(model, seqs, epsilon=2)
+        parsed, templates, _ = parse_corpus(model, seqs, epsilon=2)
         assert templates == ["same line here"]
         assert [p.message_index for p in parsed] == [s.message_index for s in seqs]
         assert {p.template_id for p in parsed} == {0}
@@ -234,7 +273,7 @@ class TestParseCorpus:
             ["on x", "off y", "on z", "off w", "on q"])
         constant = {vocab.encode("on"), vocab.encode("off")}
         model = StubModel(len(vocab), constant)
-        parsed, templates = parse_corpus(model, seqs, epsilon=2)
+        parsed, templates, _ = parse_corpus(model, seqs, epsilon=2)
         assert [p.message_index for p in parsed] == [s.message_index for s in seqs]
         assert {p.template_id for p in parsed} == set(range(len(templates)))
         assert all(templates[p.template_id] == p.template for p in parsed)
@@ -258,7 +297,7 @@ class TestParseCorpus:
                              batch_size=16, seed=7)
         model = train(seqs, config, vocab=vocab)
         # trained constants rank <= 1, once-seen variables rank >= 6 here
-        parsed, templates = parse_corpus(model, seqs, epsilon=4)
+        parsed, templates, _ = parse_corpus(model, seqs, epsilon=4)
         assert len(templates) == 2
         groups = {}
         for p, label in zip(parsed, truth):
@@ -286,16 +325,17 @@ class TestParseCorpus:
         seqs, vocab = framed_corpus(["on x", "off y", "on x", "on x", "off y", "up"])
         model = CountingStub(len(vocab), {vocab.encode("on"), vocab.encode("off")})
         with caplog.at_level(logging.INFO, logger="nulog.extraction"):
-            parsed, templates = parse_corpus(model, seqs, epsilon=2)
+            parsed, templates, scored = parse_corpus(model, seqs, epsilon=2)
         assert model.calls == [2 + 2 + 1]
+        assert scored == 5
         assert [p.template_id for p in parsed] == [0, 1, 0, 0, 1, 2]
-        assert "scored 6 messages as 3 distinct sequences: 5 masked samples " \
+        assert "scored 6 messages: 11 masked samples as 5 distinct inputs " \
             "in 1 forward calls" in caplog.text
 
     def test_template_ids_follow_first_appearance(self):
         seqs, vocab = framed_corpus(["b 1", "a 2", "b 3", "c 4", "a 5"])
         constant = {vocab.encode(t) for t in ("a", "b", "c")}
-        parsed, templates = parse_corpus(StubModel(len(vocab), constant), seqs,
+        parsed, templates, _ = parse_corpus(StubModel(len(vocab), constant), seqs,
                                          epsilon=3)
         assert templates == [f"b {PLACEHOLDER}", f"a {PLACEHOLDER}",
                              f"c {PLACEHOLDER}"]
