@@ -4,16 +4,13 @@ small transformer encoder, plus evaluation and anomaly case studies.
 from .anomaly import (AnomalyConfig, DetectionMetrics, Verdict, compute_metrics,
                       fine_tune_supervised, run_supervised_study,
                       run_unsupervised_study, sweep_deltas,
-                      token_anomaly_fraction, token_anomaly_fractions,
-                      unsupervised_classify)
+                      token_anomaly_fractions, unsupervised_classify)
 from .errors import (ArchiveError, ConfigError, NulogError, SchemaError,
                      ShapeError, StaleGradientError, ValidationError)
 from .evaluation import (levenshtein, mean_template_edit_distance,
                          normalize_template, parsing_accuracy,
-                         robustness_summary, whole_message_edit_distance)
-from .extraction import (PLACEHOLDER, ParsedMessage, constant_mask,
-                         constant_masks, extract_template, is_constant,
-                         parse_corpus)
+                         robustness_summary)
+from .extraction import PLACEHOLDER, ParsedMessage, constant_masks, parse_corpus
 from .ingest import (ANOMALY, NORMAL, DatasetConfig, LogRecord,
                      load_config, load_labeled_bgl, load_loghub_csv)
 from .masking import MaskedSample, enumerate_masks, sample_random_mask

@@ -1,11 +1,10 @@
 """Anomaly case studies on labeled logs.
 
 Two routes share one pretrained encoder: an unsupervised verdict from the
-fraction of surprising tokens per message (the complement of extraction's
-constant_masks, which scores each distinct masked input of the test
-messages once, in shared chunks), and a supervised verdict from a two-way
-head fine-tuned on the CLS embedding with the same train_epoch as
-pretraining.
+fraction of surprising tokens per message, scored for all test messages in
+one call of extraction's constant_masks (its complement), and a supervised
+verdict from a two-way head fine-tuned on the CLS embedding with the same
+train_epoch as pretraining.
 """
 from __future__ import annotations
 
@@ -96,18 +95,13 @@ def token_anomaly_fractions(model: Model, seqs: list[TokenSequence],
     constant share, keeps the value exact: 1 - 7/10 is not 0.3 in floats.
     """
     fractions = []
-    for seq, constant in zip(seqs, constant_masks(model, seqs, epsilon)):
+    for seq, constant in zip(seqs, constant_masks(model, seqs, epsilon)[0]):
         if not constant.size:
             log.warning("message %d has no tokens; scoring it 0.0", seq.message_index)
             fractions.append(0.0)
         else:
             fractions.append(float((~constant).sum()) / constant.size)
     return fractions
-
-
-def token_anomaly_fraction(model: Model, seq: TokenSequence, epsilon: int) -> float:
-    """token_anomaly_fractions for one message."""
-    return token_anomaly_fractions(model, [seq], epsilon)[0]
 
 
 def unsupervised_classify(fraction: float, delta: float) -> str:
@@ -209,13 +203,14 @@ def fine_tune_supervised(model: Model, train_seqs: list[TokenSequence],
     if len(set(labels)) < 2:
         log.warning("fine-tune train set has a single class; proceeding anyway")
     rng = np.random.default_rng(model.config.seed + 1)
-    classifier = Model(model.config, vocab=model.vocab, init="zeros", head_out=2)
-    for name, tensor in model.params.items():
-        if not name.startswith("head."):
-            classifier.params[name].data = tensor.data.copy()
-    for name in ("head.w", "head.b"):
-        t = classifier.params[name]
-        t.data = rng.uniform(-0.1, 0.1, size=t.data.shape).astype(t.data.dtype)
+    params = {}
+    for name, shape in Model.parameter_shapes(model.config, head_out=2).items():
+        if name.startswith("head."):
+            params[name] = rng.uniform(-0.1, 0.1, size=shape).astype(model.dtype)
+        else:
+            params[name] = model.params[name].data.copy()
+    classifier = Model(model.config, vocab=model.vocab, dtype=model.dtype,
+                       params=params, head_out=2)
     if epochs == 0:
         return classifier
     ids = np.stack([s.framed_ids for s in train_seqs])

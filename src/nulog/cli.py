@@ -31,6 +31,16 @@ EXIT_VALIDATION = 4
 
 DEFAULT_SEED = 7
 
+# the encoder flags every training command takes: name -> (default, help);
+# each name is a ModelConfig and an AnomalyConfig field and a manifest key
+MODEL_DIMS = {
+    "d": (256, "embedding width"),
+    "heads": (4, "attention heads"),
+    "ffn_hidden": (512, "feed-forward hidden width"),
+    "blocks": (1, "encoder blocks"),
+    "batch_size": (32, "training batch size"),
+}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse flavor whose usage errors exit with the config code."""
@@ -110,10 +120,7 @@ def cmd_train(args) -> int:
     corpus = [frame(toks, payload, vocab, message_index=i)
               for i, toks in enumerate(token_lists, start=1)]
     model_config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
-                               d=args.d, heads=args.heads,
-                               ffn_hidden=args.ffn_hidden, blocks=args.blocks,
-                               epochs=config.epochs, batch_size=args.batch_size,
-                               seed=seed)
+                               epochs=config.epochs, seed=seed, **_model_dims(args))
     model = train(corpus, model_config, vocab=vocab)
     persistence.save_model(model, args.out_model)
     manifest = _write_manifest(
@@ -123,8 +130,7 @@ def cmd_train(args) -> int:
             "tokenization_filter": config.tokenization_filter,
             "epochs": config.epochs,
             "epsilon": config.epsilon,
-            "d": args.d, "heads": args.heads, "ffn_hidden": args.ffn_hidden,
-            "blocks": args.blocks, "batch_size": args.batch_size,
+            **_model_dims(args),
             "frame_length": payload + 1, "vocab_size": len(vocab),
             "messages_truncated": _count_truncated(token_lists, corpus),
             "final_loss": model.training_losses[-1] if model.training_losses else None,
@@ -215,23 +221,13 @@ def _parsed_line_id(row: dict, path) -> int:
             f"{path}: non-integer line_id {row['line_id']!r}") from None
 
 
-def _reject_repeats(ids, path, column: str) -> None:
-    """A repeated line id would silently overwrite the line it repeats."""
-    seen = set()
-    for line_id in ids:
-        if line_id in seen:
-            raise ingest.SchemaError(f"{path}: {column} {line_id} appears more than once")
-        seen.add(line_id)
-
-
 def _evaluate_pair(parsed_path, truth_path, pattern) -> tuple[float, float | None]:
     parsed = _read_parsed(parsed_path)
     truth = ingest.load_loghub_csv(truth_path)
     if any(r.event_id is None for r in truth):
         raise ingest.SchemaError(f"{truth_path}: EventId column required")
     line_ids = [_parsed_line_id(row, parsed_path) for row in parsed]
-    _reject_repeats(line_ids, parsed_path, "line_id")
-    _reject_repeats((r.line_id for r in truth), truth_path, "LineId")
+    ingest.reject_repeats(line_ids, parsed_path, "line_id")
     predicted_groups = {i: row["template_id"] for i, row in zip(line_ids, parsed)}
     truth_groups = {r.line_id: r.event_id for r in truth}
     pa = evaluation.parsing_accuracy(predicted_groups, truth_groups)
@@ -302,9 +298,7 @@ def cmd_detect(args) -> int:
     config = anomaly.AnomalyConfig(
         epsilon=args.epsilon, delta=args.delta, seed=seed,
         tokenization_filter=args.filter or anomaly.DEFAULT_FILTER,
-        normal_only=args.train_normal_only, d=args.d, heads=args.heads,
-        ffn_hidden=args.ffn_hidden, blocks=args.blocks,
-        batch_size=args.batch_size)
+        normal_only=args.train_normal_only, **_model_dims(args))
     if args.mode == "unsupervised":
         metrics, verdicts = anomaly.run_unsupervised_study(records, config)
     else:
@@ -338,9 +332,7 @@ def cmd_detect(args) -> int:
                      "fraction": args.fraction,
                      "train_normal_only": args.train_normal_only,
                      "tokenization_filter": config.tokenization_filter,
-                     "d": args.d, "heads": args.heads,
-                     "ffn_hidden": args.ffn_hidden, "blocks": args.blocks,
-                     "batch_size": args.batch_size},
+                     **_model_dims(args)},
                     seed, started, outputs)
     log.info("%s detection: accuracy %.4f precision %.4f recall %.4f F1 %.4f",
              args.mode, metrics.accuracy, metrics.precision, metrics.recall,
@@ -349,16 +341,13 @@ def cmd_detect(args) -> int:
 
 
 def _add_model_dims(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--d", type=int, default=256,
-                        help="embedding width (default 256)")
-    parser.add_argument("--heads", type=int, default=4,
-                        help="attention heads (default 4)")
-    parser.add_argument("--ffn-hidden", type=int, default=512,
-                        help="feed-forward hidden width (default 512)")
-    parser.add_argument("--blocks", type=int, default=1,
-                        help="encoder blocks (default 1)")
-    parser.add_argument("--batch-size", type=int, default=32,
-                        help="training batch size (default 32)")
+    for name, (default, text) in MODEL_DIMS.items():
+        parser.add_argument(f"--{name.replace('_', '-')}", type=int, default=default,
+                            help=f"{text} (default {default})")
+
+
+def _model_dims(args) -> dict[str, int]:
+    return {name: getattr(args, name) for name in MODEL_DIMS}
 
 
 def build_parser() -> _Parser:

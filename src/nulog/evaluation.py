@@ -95,12 +95,6 @@ def mean_template_edit_distance(predicted: Sequence[str], truth: Sequence[str],
     return total / len(predicted)
 
 
-def whole_message_edit_distance(contents: Sequence[str], truth: Sequence[str],
-                                pattern=WHITESPACE_FILTER) -> float:
-    """Baseline distance when every message is its own 'template'."""
-    return mean_template_edit_distance(contents, truth, pattern)
-
-
 def robustness_summary(values: Sequence[float]) -> dict[str, float]:
     """Five-number summary (linear-interpolation quartiles) of a score list."""
     if len(values) == 0:

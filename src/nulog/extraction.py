@@ -1,15 +1,14 @@
 """Template extraction: mask each token in turn and keep it as a constant
 only when the model ranks the true token inside the top epsilon candidates.
 
-constant_masks applies that rule to many messages at once, for parsing here
-and, as its complement, for anomaly scoring. The rule reads only a masked
-input and its true token, so each distinct masked input is scored once,
-in chunks of MASK_CHUNK distinct inputs, one forward pass per chunk,
-whichever messages the input came from; constant_mask is its one-message
-case. A message's result does not depend on which other messages share its
-chunks or its masked inputs. Tokens the rule rejects become the placeholder
-and their original text is reported as that message's variable list, in
-token order.
+constant_masks is the one place that applies that rule, to many messages at
+once, for parsing here and, as its complement, for anomaly scoring. The
+rule reads only a masked input and its true token, so each distinct masked
+input is scored once, in chunks of MASK_CHUNK distinct inputs, one forward
+pass per chunk, whichever messages the input came from. A message's result
+does not depend on which other messages share its chunks or its masked
+inputs. Tokens the rule rejects become the placeholder and their original
+text is reported as that message's variable list, in token order.
 """
 from __future__ import annotations
 
@@ -57,25 +56,19 @@ def _ranks(probabilities: np.ndarray, true_ids: np.ndarray) -> np.ndarray:
     return higher + tied_before
 
 
-def is_constant(probabilities: np.ndarray, true_id: int, epsilon: int) -> bool:
-    """Top-epsilon rule for a single slot.
+def constant_masks(model: Model, seqs: list[TokenSequence],
+                   epsilon: int) -> tuple[list[np.ndarray], int]:
+    """The constancy rule for each token of each message, in token order,
+    and the number of distinct masked inputs the model scored.
 
-    Growing epsilon only ever turns variables into constants, never the
-    reverse, because the rank of the true token does not depend on epsilon.
+    A token is constant when, masked, its true id ranks inside the top
+    epsilon candidates; an unknown token is never constant. The rank does
+    not depend on epsilon, so growing epsilon only ever turns variables
+    into constants. Each distinct masked input goes to the model once and
+    every sample that shares it is ranked on its probability row, so a
+    message's result does not depend on which other messages share its
+    chunks or its masked inputs.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    probabilities = np.asarray(probabilities)
-    if probabilities.ndim != 1:
-        raise ValidationError(
-            f"expected a 1-d probability vector, got shape {probabilities.shape}")
-    rank = _ranks(probabilities[None, :], np.array([true_id]))[0]
-    return bool(rank < epsilon)
-
-
-def _score(model: Model, seqs: list[TokenSequence],
-           epsilon: int) -> tuple[list[np.ndarray], int]:
-    """constant_masks, plus how many distinct masked inputs were scored."""
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
     index: dict[bytes, int] = {}
@@ -112,35 +105,11 @@ def _score(model: Model, seqs: list[TokenSequence],
     return masks, len(inputs)
 
 
-def constant_masks(model: Model, seqs: list[TokenSequence],
-                   epsilon: int) -> list[np.ndarray]:
-    """The constancy rule for each token of each message, in token order.
-
-    A token is constant when, masked, its true id ranks inside the top
-    epsilon candidates; an unknown token is never constant. Each distinct
-    masked input goes to the model once and every sample that shares it is
-    ranked on its probability row, so a message's result does not depend on
-    which other messages share its chunks or its masked inputs.
-    """
-    return _score(model, seqs, epsilon)[0]
-
-
-def constant_mask(model: Model, seq: TokenSequence, epsilon: int) -> np.ndarray:
-    """constant_masks for one message."""
-    return constant_masks(model, [seq], epsilon)[0]
-
-
 def _template(seq: TokenSequence, constant: np.ndarray) -> tuple[str, list[str]]:
     parts = [tok if keep else PLACEHOLDER
              for tok, keep in zip(seq.tokens, constant)]
     variables = [tok for tok, keep in zip(seq.tokens, constant) if not keep]
     return " ".join(parts), variables
-
-
-def extract_template(model: Model, seq: TokenSequence,
-                     epsilon: int) -> tuple[str, list[str]]:
-    """Classify each token of one message and build its template string."""
-    return _template(seq, constant_mask(model, seq, epsilon))
 
 
 def parse_corpus(model: Model, corpus: list[TokenSequence], epsilon: int
@@ -152,7 +121,7 @@ def parse_corpus(model: Model, corpus: list[TokenSequence], epsilon: int
     dense and follow first appearance. Identical token lists share every
     masked input, so they always parse identically.
     """
-    masks, scored = _score(model, corpus, epsilon)
+    masks, scored = constant_masks(model, corpus, epsilon)
     template_ids: dict[str, int] = {}
     parsed: list[ParsedMessage] = []
     for seq, mask in zip(corpus, masks):

@@ -101,12 +101,22 @@ def load_config(path: str | Path) -> DatasetConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
+def reject_repeats(ids, path, column: str) -> None:
+    """A repeated line id would silently overwrite the line it repeats."""
+    seen = set()
+    for line_id in ids:
+        if line_id in seen:
+            raise SchemaError(f"{path}: {column} {line_id} appears more than once")
+        seen.add(line_id)
+
+
 def load_loghub_csv(path: str | Path) -> list[LogRecord]:
     """Read a benchmark CSV in file order.
 
     Content is the only required column. LineId, EventId, and EventTemplate
     populate the record when present; otherwise line ids are assigned from
-    the row position. A header-only file yields an empty list.
+    the row position. A line id may appear once. A header-only file yields
+    an empty list.
     """
     records: list[LogRecord] = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -125,6 +135,7 @@ def load_loghub_csv(path: str | Path) -> list[LogRecord]:
             records.append(LogRecord(line_id=line_id, content=row["Content"],
                                      event_id=row.get("EventId"),
                                      template=row.get("EventTemplate")))
+    reject_repeats((r.line_id for r in records), path, "LineId")
     return records
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,31 +83,30 @@ class Model:
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary | None = None,
                  rng: np.random.Generator | None = None, dtype=np.float32,
-                 init: str = "uniform", head_out: int | None = None):
+                 params: Mapping[str, np.ndarray] | None = None,
+                 head_out: int | None = None):
+        """params, when given, maps each parameter_shapes name to its array,
+        taken as is; otherwise the weights are drawn from rng (seeded with
+        config.seed by default) in parameter order."""
         self.config = config
         self.vocab = vocab
         self.dtype = np.dtype(dtype)
         self.positional = positional_encoding(config.frame_length, config.d, self.dtype)
         self.head_out = config.vocab_size if head_out is None else head_out
         self.training_losses: list[float] = []
+        if params is None and rng is None:
+            rng = np.random.default_rng(config.seed)
         self.params = ParameterSet()
-        if init == "uniform":
-            if rng is None:
-                rng = np.random.default_rng(config.seed)
-            self._init_params(lambda shape: rng.uniform(-0.1, 0.1, size=shape).astype(self.dtype))
-        elif init == "zeros":
-            self._init_params(lambda shape: np.zeros(shape, dtype=self.dtype))
-        else:
-            raise ValidationError(f"unknown init mode {init!r}")
-
-    def _init_params(self, make) -> None:
-        for name, shape in self.parameter_shapes(self.config, self.head_out).items():
-            if "_norm." in name:
+        for name, shape in self.parameter_shapes(config, self.head_out).items():
+            if params is not None:
+                values = params[name]
+            elif "_norm." in name:
                 # norm layers start as identity; random gains would crush the signal
                 fill = 1.0 if name.endswith(".gain") else 0.0
-                self.params.add(name, np.full(shape, fill, dtype=self.dtype))
+                values = np.full(shape, fill, dtype=self.dtype)
             else:
-                self.params.add(name, make(shape))
+                values = rng.uniform(-0.1, 0.1, size=shape).astype(self.dtype)
+            self.params.add(name, values)
 
     @classmethod
     def parameter_shapes(cls, config: ModelConfig,

@@ -421,12 +421,12 @@ class ParameterSet:
 class OptimizerState:
     """Adam moment accumulators plus the step counter and hyperparameters."""
 
-    def __init__(self, params: ParameterSet, learning_rate: float = 1e-3,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: ParameterSet, learning_rate: float = 1e-3):
         self.learning_rate = learning_rate
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}

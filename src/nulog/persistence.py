@@ -101,9 +101,9 @@ def load_model(path: str | Path) -> Model:
     if magic != MAGIC:
         raise ArchiveError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     version = reader.u32()
-    if version > VERSION:
+    if version != VERSION:
         raise ArchiveError(
-            f"{path}: archive version {version} is newer than supported {VERSION}")
+            f"{path}: archive version {version} is not the supported {VERSION}")
     scalars = {name: reader.u32() for name in _CONFIG_SCALARS}
     config = ModelConfig(**scalars)
     vocab_count = reader.u32()
@@ -140,7 +140,4 @@ def load_model(path: str | Path) -> Model:
             raise ValidationError(
                 f"{path}: tensor {name} has shape {tensors[name].shape}, "
                 f"config implies {shape}")
-    model = Model(config, vocab=vocab, init="zeros", head_out=head_out)
-    for name in model.params.names():
-        model.params[name].data = tensors[name]
-    return model
+    return Model(config, vocab=vocab, params=tensors, head_out=head_out)

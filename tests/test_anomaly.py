@@ -10,10 +10,9 @@ from nulog.anomaly import (DELTA_GRID, AnomalyConfig, DetectionMetrics,
                            Verdict, classify_supervised, compute_metrics,
                            fine_tune_supervised, run_supervised_study,
                            run_unsupervised_study, sweep_deltas,
-                           token_anomaly_fraction, token_anomaly_fractions,
-                           unsupervised_classify, _split)
+                           token_anomaly_fractions, unsupervised_classify, _split)
 from nulog.errors import ConfigError, ValidationError
-from nulog.extraction import extract_template
+from nulog.extraction import parse_corpus
 from nulog.ingest import ANOMALY, NORMAL, LogRecord
 from nulog.model import Model, ModelConfig, train
 from nulog.tokenizer import (build_vocabulary, compile_filter,
@@ -32,6 +31,16 @@ class IdRankStub:
 
     def predict_masked_batch(self, samples):
         return np.tile(self.row, (len(samples), 1))
+
+
+def fraction_alone(model, seq, epsilon):
+    """token_anomaly_fractions for one message on its own."""
+    return token_anomaly_fractions(model, [seq], epsilon)[0]
+
+
+def variables_alone(model, seq, epsilon):
+    """The variables parse_corpus finds in one message on its own."""
+    return parse_corpus(model, [seq], epsilon)[0][0].variables
 
 
 def make_seq(words, corpus_words=None):
@@ -68,31 +77,31 @@ class TestTokenAnomalyFraction:
     def test_all_tokens_within_epsilon(self):
         seq, vocab = make_seq(["a", "b", "c", "d"])
         stub = IdRankStub(len(vocab))
-        assert token_anomaly_fraction(stub, seq, epsilon=len(vocab)) == 0.0
+        assert fraction_alone(stub, seq, epsilon=len(vocab)) == 0.0
 
     def test_all_tokens_flagged_at_epsilon_one(self):
         # word ids start at 4, so every rank is at least 4
         seq, vocab = make_seq(["a", "b", "c", "d"])
         stub = IdRankStub(len(vocab))
-        assert token_anomaly_fraction(stub, seq, epsilon=1) == 1.0
+        assert fraction_alone(stub, seq, epsilon=1) == 1.0
 
     def test_partial_fraction(self):
         # ids 4..7; epsilon 7 flags only the last token
         seq, vocab = make_seq(["a", "b", "c", "d"])
         stub = IdRankStub(len(vocab))
-        assert token_anomaly_fraction(stub, seq, epsilon=7) == pytest.approx(0.25)
+        assert fraction_alone(stub, seq, epsilon=7) == pytest.approx(0.25)
 
     def test_unknown_token_always_flagged(self):
         seq, vocab = make_seq(["a", "b", "zzz", "d"],
                               corpus_words=["a", "b", "c", "d"])
         stub = IdRankStub(len(vocab))
-        assert token_anomaly_fraction(stub, seq, epsilon=100) == pytest.approx(0.25)
+        assert fraction_alone(stub, seq, epsilon=100) == pytest.approx(0.25)
 
     def test_empty_message_scores_zero_with_warning(self, caplog):
         seq, vocab = make_seq([], corpus_words=["a", "b"])
         stub = IdRankStub(len(vocab))
         with caplog.at_level(logging.WARNING):
-            assert token_anomaly_fraction(stub, seq, epsilon=3) == 0.0
+            assert fraction_alone(stub, seq, epsilon=3) == 0.0
         assert "no tokens" in caplog.text
 
     def test_batch_equals_one_message_at_a_time(self):
@@ -101,7 +110,7 @@ class TestTokenAnomalyFraction:
                 for words in (["a", "b", "c", "d"], [], ["d", "zzz"], ["a"])]
         stub = IdRankStub(len(make_seq(corpus_words)[1]))
         fractions = token_anomaly_fractions(stub, seqs, epsilon=7)
-        assert fractions == [token_anomaly_fraction(stub, s, 7) for s in seqs]
+        assert fractions == [fraction_alone(stub, s, 7) for s in seqs]
         assert fractions == [0.25, 0.0, 1.0, 0.0]
         assert token_anomaly_fractions(stub, [], epsilon=7) == []
 
@@ -109,15 +118,15 @@ class TestTokenAnomalyFraction:
     def test_nonpositive_epsilon_rejected(self, epsilon):
         seq, vocab = make_seq(["a"])
         with pytest.raises(ValidationError):
-            token_anomaly_fraction(IdRankStub(len(vocab)), seq, epsilon)
+            fraction_alone(IdRankStub(len(vocab)), seq, epsilon)
 
     @pytest.mark.parametrize("epsilon", [1, 2, 4, 5, 6, 7, 8, 20])
     def test_fraction_complements_constant_share(self, epsilon):
         # same rule as extraction: flagged tokens are exactly the variables
         seq, vocab = make_seq(["a", "b", "c", "d"])
         stub = IdRankStub(len(vocab))
-        _, variables = extract_template(stub, seq, epsilon)
-        fraction = token_anomaly_fraction(stub, seq, epsilon)
+        variables = variables_alone(stub, seq, epsilon)
+        fraction = fraction_alone(stub, seq, epsilon)
         assert fraction == len(variables) / len(seq.tokens)
 
     def test_complement_holds_on_a_trained_model(self):
@@ -133,8 +142,8 @@ class TestTokenAnomalyFraction:
         model = train(seqs, config, vocab=vocab)
         for seq in seqs[:4]:
             for epsilon in (1, 3, len(vocab)):
-                _, variables = extract_template(model, seq, epsilon)
-                fraction = token_anomaly_fraction(model, seq, epsilon)
+                variables = variables_alone(model, seq, epsilon)
+                fraction = fraction_alone(model, seq, epsilon)
                 assert fraction == len(variables) / len(seq.tokens)
 
 

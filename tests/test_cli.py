@@ -8,7 +8,7 @@ import pytest
 
 import synth
 from nulog.cli import main
-from nulog.extraction import PLACEHOLDER, constant_mask
+from nulog.extraction import PLACEHOLDER, constant_masks
 from nulog.ingest import load_loghub_csv
 from nulog.persistence import load_model
 from nulog.tokenizer import WHITESPACE_FILTER, frame, tokenize
@@ -224,7 +224,7 @@ def parse_line_by_line(data, model_path, epsilon, out):
     for record in load_loghub_csv(data):
         seq = frame(tokenize(record.content, WHITESPACE_FILTER), payload,
                     model.vocab)
-        keep = constant_mask(model, seq, epsilon)
+        keep = constant_masks(model, [seq], epsilon)[0][0]
         template = " ".join(t if k else PLACEHOLDER for t, k in zip(seq.tokens, keep))
         variables = [t for t, k in zip(seq.tokens, keep) if not k]
         template_id = template_ids.setdefault(template, len(template_ids))
@@ -453,3 +453,20 @@ class TestExitCodes:
         assert main(["detect", "--data", str(data), "--mode", "unsupervised",
                      "--delta", "1.5", "--out", str(tmp_path / "v.csv"),
                      *TINY_DIMS]) == 4
+
+    @pytest.mark.parametrize("command", ["train", "parse"])
+    def test_repeated_line_id_is_schema_error(self, workspace, tmp_path, capsys,
+                                              command):
+        # ids 1, 1, 2 used to train, and to parse into two rows for line 1
+        data = tmp_path / "repeated.csv"
+        data.write_text("LineId,Content\n1,stop now\n1,start now\n2,stop now\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--data", str(data), "--out-model", str(out), *TINY_DIMS]
+        else:
+            argv = ["parse", "--data", str(data), "--model", str(workspace["model"]),
+                    "--out", str(out)]
+        assert main(argv) == 4
+        assert "LineId 1 appears more than once" in capsys.readouterr().err
+        assert not out.exists()

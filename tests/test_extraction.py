@@ -8,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from nulog.errors import ValidationError
 from nulog import masking
-from nulog.extraction import (MASK_CHUNK, PLACEHOLDER, constant_mask,
-                              constant_masks, extract_template, is_constant,
-                              parse_corpus)
+from nulog.extraction import MASK_CHUNK, PLACEHOLDER, constant_masks, parse_corpus
 from nulog.model import ModelConfig, train
-from nulog.tokenizer import (UNK_ID, WHITESPACE_FILTER, build_vocabulary,
+from nulog.tokenizer import (CLS_ID, PAD_ID, UNK_ID, WHITESPACE_FILTER,
+                             TokenSequence, build_vocabulary,
                              compute_frame_length, frame, tokenize)
 
 
@@ -50,32 +49,64 @@ def framed_corpus(messages):
     return seqs, vocab
 
 
+class FixedRowStub:
+    """Answers every masked input with the same probability row."""
+
+    def __init__(self, row):
+        self.row = np.asarray(row)
+
+    def predict_masked_batch(self, samples):
+        return np.tile(self.row, (len(samples), 1))
+
+
+def rule(probs, true_ids, epsilon):
+    """constant_masks' verdicts for one message whose every masked slot gets
+    the distribution probs; true_ids index probs.
+
+    Word i of probs is vocabulary id UNK_ID + 1 + i. The special ids before
+    it get probability 0, so they rank below every word of nonzero
+    probability and no word is the unknown token.
+    """
+    row = np.concatenate([np.zeros(UNK_ID + 1), probs])
+    ids = [CLS_ID, *(UNK_ID + 1 + t for t in true_ids), PAD_ID]
+    seq = TokenSequence(message_index=0, tokens=[f"w{t}" for t in true_ids],
+                        framed_ids=np.array(ids, dtype=np.int64))
+    masks, _ = constant_masks(FixedRowStub(row), [seq], epsilon)
+    return masks[0].tolist()
+
+
+def loop_rank(probs, true_id):
+    """Tokens ahead of true_id: more probable, or as probable with a smaller id."""
+    return sum(1 for i, p in enumerate(probs)
+               if p > probs[true_id] or (p == probs[true_id] and i < true_id))
+
+
+def mask_alone(model, seq, epsilon):
+    """constant_masks for one message on its own."""
+    return constant_masks(model, [seq], epsilon)[0][0]
+
+
 class TestIsConstant:
+    """The top-epsilon rule for single slots, through constant_masks."""
+
     def test_epsilon_of_vocab_size_accepts_everything(self):
         probs = np.array([0.1, 0.2, 0.3, 0.4])
-        for true_id in range(4):
-            assert is_constant(probs, true_id, epsilon=4)
+        assert rule(probs, range(4), epsilon=4) == [True] * 4
 
     def test_epsilon_one_accepts_only_argmax(self):
         probs = np.array([0.1, 0.6, 0.3])
-        assert is_constant(probs, 1, epsilon=1)
-        assert not is_constant(probs, 2, epsilon=1)
+        assert rule(probs, [1, 2], epsilon=1) == [True, False]
 
     def test_third_ranked_token_fails_epsilon_two(self):
-        assert not is_constant(np.array([0.5, 0.3, 0.2]), 2, epsilon=2)
+        assert rule(np.array([0.5, 0.3, 0.2]), [2], epsilon=2) == [False]
 
     def test_ties_break_toward_smaller_id(self):
         probs = np.array([0.4, 0.3, 0.3])
-        assert is_constant(probs, 1, epsilon=2)
-        assert not is_constant(probs, 2, epsilon=2)
+        assert rule(probs, [1, 2], epsilon=2) == [True, False]
 
     def test_epsilon_must_be_positive(self):
         with pytest.raises(ValidationError):
-            is_constant(np.array([1.0]), 0, epsilon=0)
-
-    def test_requires_vector(self):
-        with pytest.raises(ValidationError):
-            is_constant(np.ones((2, 2)) / 4, 0, epsilon=1)
+            rule(np.array([1.0]), [0], epsilon=0)
 
     @given(st.integers(min_value=2, max_value=30),
            st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -84,7 +115,7 @@ class TestIsConstant:
         rng = np.random.default_rng(seed)
         probs = rng.dirichlet(np.ones(size))
         true_id = int(rng.integers(0, size))
-        verdicts = [is_constant(probs, true_id, eps)
+        verdicts = [rule(probs, [true_id], eps)[0]
                     for eps in range(1, size + 1)]
         # once constant, constant for every larger epsilon
         assert verdicts == sorted(verdicts)
@@ -104,8 +135,8 @@ class TestConstantMask:
             samples = masking.enumerate_masks(seq)
             probs = model.predict_masked_batch(samples)
             for epsilon in (1, 3, len(vocab)):
-                mask = constant_mask(model, seq, epsilon)
-                expected = [is_constant(p, s.target_id, epsilon)
+                mask = mask_alone(model, seq, epsilon)
+                expected = [loop_rank(p, s.target_id) < epsilon
                             for p, s in zip(probs, samples)]
                 assert mask.tolist() == expected
 
@@ -113,7 +144,7 @@ class TestConstantMask:
         vocab = build_vocabulary([["alpha", "beta"]])
         seq = frame(["alpha", "zzz", "beta"], 4, vocab, message_index=0)
         model = StubModel(len(vocab), constant_ids=set(range(len(vocab))))
-        assert constant_mask(model, seq, epsilon=len(vocab)).tolist() == \
+        assert mask_alone(model, seq, epsilon=len(vocab)).tolist() == \
             [True, False, True]
 
 
@@ -161,11 +192,12 @@ class TestConstantMasks:
         verdicts = set()
         for epsilon in (1, 3, 8):
             recorder = RecordingModel(model)
-            batched = constant_masks(recorder, seqs, epsilon)
+            batched, scored = constant_masks(recorder, seqs, epsilon)
+            assert scored == len(distinct)
             assert sorted(recorder.inputs) == sorted(distinct)
             assert recorder.calls == [MASK_CHUNK, MASK_CHUNK, len(distinct) - 2 * MASK_CHUNK]
             for seq, mask in zip(seqs, batched):
-                assert np.array_equal(mask, constant_mask(model, seq, epsilon))
+                assert np.array_equal(mask, mask_alone(model, seq, epsilon))
             verdicts.update(np.concatenate(batched).tolist())
         assert verdicts == {True, False}
 
@@ -187,12 +219,12 @@ class TestConstantMasks:
         assert UNK_ID in seqs[11].framed_ids
         verdicts = set()
         for epsilon in (1, 3, 8):
-            batched = constant_masks(model, seqs, epsilon)
+            batched, _ = constant_masks(model, seqs, epsilon)
             verdicts.update(np.concatenate(batched).tolist())
             assert len(batched) == len(seqs)
             for seq, mask in zip(seqs, batched):
                 assert mask.dtype == bool
-                assert np.array_equal(mask, constant_mask(model, seq, epsilon))
+                assert np.array_equal(mask, mask_alone(model, seq, epsilon))
             assert batched[5].size == 0
             assert not batched[11][3]
         assert verdicts == {True, False}
@@ -208,10 +240,16 @@ class TestConstantMasks:
 
     def test_empty_input(self):
         model = CountingStub(8, set())
-        assert constant_masks(model, [], epsilon=1) == []
+        assert constant_masks(model, [], epsilon=1) == ([], 0)
         assert model.calls == []
         with pytest.raises(ValidationError):
             constant_masks(model, [], epsilon=0)
+
+
+def extract(model, seq, epsilon):
+    """The template and variables parse_corpus gives one message."""
+    parsed, _, _ = parse_corpus(model, [seq], epsilon)
+    return parsed[0].template, parsed[0].variables
 
 
 class TestExtractTemplate:
@@ -221,7 +259,7 @@ class TestExtractTemplate:
         variable_ids = {vocab.encode(t) for t in ("2048", "20", "1")}
         constant_ids = set(range(4, len(vocab))) - variable_ids
         model = StubModel(len(vocab), constant_ids)
-        template, variables = extract_template(model, seqs[0], epsilon=3)
+        template, variables = extract(model, seqs[0], epsilon=3)
         assert template == ("Attempting claim: memory " + PLACEHOLDER +
                            " MB, disk " + PLACEHOLDER + " GB, vcpus " +
                            PLACEHOLDER + " CPU")
@@ -230,13 +268,12 @@ class TestExtractTemplate:
     def test_empty_message(self):
         seqs, vocab = framed_corpus([""])
         model = StubModel(len(vocab), set())
-        assert extract_template(model, seqs[0], epsilon=1) == ("", [])
+        assert extract(model, seqs[0], epsilon=1) == ("", [])
 
     def test_epsilon_at_vocab_size_keeps_all_known_tokens(self):
         seqs, vocab = framed_corpus(["alpha beta gamma"])
         model = StubModel(len(vocab), set())
-        template, variables = extract_template(model, seqs[0],
-                                               epsilon=len(vocab))
+        template, variables = extract(model, seqs[0], epsilon=len(vocab))
         assert template == "alpha beta gamma"
         assert variables == []
 
@@ -246,7 +283,7 @@ class TestExtractTemplate:
         seq = frame(["alpha", "zzz"], 3, vocab, message_index=0)
         assert seq.framed_ids[2] == UNK_ID
         model = StubModel(len(vocab), constant_ids=set(range(len(vocab))))
-        template, variables = extract_template(model, seq, epsilon=len(vocab))
+        template, variables = extract(model, seq, epsilon=len(vocab))
         assert template == "alpha " + PLACEHOLDER
         assert variables == ["zzz"]
 
@@ -254,7 +291,7 @@ class TestExtractTemplate:
         message = "a b c d"
         seqs, vocab = framed_corpus([message])
         model = StubModel(len(vocab), {vocab.encode("a"), vocab.encode("c")})
-        template, variables = extract_template(model, seqs[0], epsilon=2)
+        template, variables = extract(model, seqs[0], epsilon=2)
         assert template.count(PLACEHOLDER) == len(variables) == 2
         assert len(template.split(" ")) == 4
 

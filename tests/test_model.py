@@ -86,7 +86,7 @@ class TestPositionalEncoding:
 class TestInitialisation:
     def test_layout_follows_parameter_shapes(self):
         config = tiny_config(blocks=2)
-        model = Model(config, init="zeros", head_out=2)
+        model = Model(config, head_out=2)
         shapes = Model.parameter_shapes(config, head_out=2)
         assert model.params.names() == list(shapes)
         assert all(model.params[n].data.shape == shape for n, shape in shapes.items())
@@ -112,7 +112,9 @@ class TestInitialisation:
 
 class TestEmbed:
     def test_zero_embeddings_give_positional_rows(self):
-        model = Model(tiny_config(), init="zeros")
+        config = tiny_config()
+        model = Model(config, params={name: np.zeros(shape, dtype=np.float32)
+                                      for name, shape in Model.parameter_shapes(config).items()})
         ids = np.zeros((1, 6), dtype=np.int64)
         out = model.embed(ids)
         assert np.allclose(out.data[0], model.positional)

@@ -88,11 +88,13 @@ class TestRoundTrip:
 
     def test_two_way_head_round_trips(self, trained, tmp_path):
         model, _ = trained
-        classifier = Model(model.config, vocab=model.vocab, init="zeros",
+        shapes = Model.parameter_shapes(model.config, head_out=2)
+        params = {name: model.params[name].data.copy()
+                  for name in shapes if not name.startswith("head.")}
+        params["head.w"] = np.full(shapes["head.w"], 0.25, dtype=np.float32)
+        params["head.b"] = np.full(shapes["head.b"], -0.5, dtype=np.float32)
+        classifier = Model(model.config, vocab=model.vocab, params=params,
                            head_out=2)
-        for name, tensor in model.params.items():
-            if not name.startswith("head."):
-                classifier.params[name].data = tensor.data.copy()
         path = tmp_path / "classifier.nulog"
         save_model(classifier, path)
         loaded = load_model(path)
@@ -176,9 +178,10 @@ class TestLoadValidation:
     def test_newer_version(self, trained, tmp_path):
         blob = self.archive(trained, tmp_path)
         bad = tmp_path / "bad.nulog"
-        bad.write_bytes(blob[:4] + struct.pack("<I", VERSION + 1) + blob[8:])
-        with pytest.raises(ArchiveError, match="version"):
-            load_model(bad)
+        for version in (VERSION + 1, 0):
+            bad.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
+            with pytest.raises(ArchiveError, match="version"):
+                load_model(bad)
 
     @pytest.mark.parametrize("keep", [0, 3, 7, 30, 50])
     def test_truncated_prefix(self, trained, tmp_path, keep):
