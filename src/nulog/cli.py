@@ -52,16 +52,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(value: int | None) -> int:
-    """Explicit flag, then the NULOG_SEED environment variable, then 7."""
-    if value is not None:
-        return value
-    env = os.environ.get("NULOG_SEED")
-    if env is None:
-        return DEFAULT_SEED
-    try:
-        return int(env)
-    except ValueError:
-        raise ConfigError(f"NULOG_SEED must be an integer, got {env!r}") from None
+    """Explicit flag, then the NULOG_SEED environment variable, then 7.
+
+    The seed must fit the archive's u32 seed field, [0, 2**32).
+    """
+    if value is None:
+        env = os.environ.get("NULOG_SEED", str(DEFAULT_SEED))
+        try:
+            value = int(env)
+        except ValueError:
+            raise ConfigError(f"NULOG_SEED must be an integer, got {env!r}") from None
+    if not 0 <= value < 2 ** 32:
+        raise ConfigError(f"seed must be in [0, 2**32), got {value}")
+    return value
 
 
 def _write_manifest(primary_output: str | Path, command: str, dataset: str,

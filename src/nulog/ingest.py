@@ -132,6 +132,8 @@ def load_loghub_csv(path: str | Path) -> list[LogRecord]:
                 raise SchemaError(
                     f"{path}: LineId {raw_id!r} on data row {position} "
                     f"is not an integer") from None
+            if row["Content"] is None:
+                raise SchemaError(f"{path}: data row {position} has no Content cell")
             records.append(LogRecord(line_id=line_id, content=row["Content"],
                                      event_id=row.get("EventId"),
                                      template=row.get("EventTemplate")))

@@ -3,14 +3,16 @@ feed-forward blocks, and the CLS prediction head, plus the training loop.
 
 All learnable tensors live in a ParameterSet so the optimizer, the gradient
 checker, and the archive writer see one flat namespace; parameter_shapes is
-the one list of their names and shapes. forward_logits is the one forward
-pass behind training, fine-tuning, parsing and classification; because the
-head reads the CLS row alone, its last block computes that row alone.
-Attention scores its query rows against the rows of x themselves, as
-(q·wk^T)·x^T, and takes (p·x)·wv for the output, so for that one row no
-block forms the keys and values of every row. predict_proba is the one
-softmax over head logits, and train_epoch the one optimisation pass,
-shared by masked-token pretraining and supervised fine-tuning.
+the one list of their names and shapes. Each block's attention projections
+wq, wk and wv are one (d, d) matrix apiece, head h in columns h*w:(h+1)*w
+for head width w. forward_logits is the one forward pass behind training,
+fine-tuning, parsing and classification; because the head reads the CLS
+row alone, its last block computes that row alone. Attention scores its
+query rows against the rows of x themselves, as (q·wk^T)·x^T, and takes
+(p·x)·wv for the output, so for that one row no block forms the keys and
+values of every row. predict_proba is the one softmax over head logits,
+and train_epoch the one optimisation pass, shared by masked-token
+pretraining and supervised fine-tuning.
 """
 from __future__ import annotations
 
@@ -100,6 +102,16 @@ class Model:
         for name, shape in self.parameter_shapes(config, self.head_out).items():
             if params is not None:
                 values = params[name]
+            elif name.endswith((".wq", ".wk", ".wv")):
+                # existing seeds must keep their weights: at a block's wq,
+                # draw its projections as one (d, w) matrix per head and
+                # kind, head 0 wq, wk, wv, then head 1, ..., and put head h
+                # of each kind in columns h*w:(h+1)*w
+                if name.endswith(".wq"):
+                    d, H, w = config.d, config.heads, config.head_width
+                    per_head = rng.uniform(-0.1, 0.1, size=(H, 3, d, w)).astype(self.dtype)
+                    projections = per_head.transpose(1, 2, 0, 3).reshape(3, d, d)
+                values = projections[("wq", "wk", "wv").index(name[-2:])]
             elif "_norm." in name:
                 # norm layers start as identity; random gains would crush the signal
                 fill = 1.0 if name.endswith(".gain") else 0.0
@@ -112,14 +124,13 @@ class Model:
     def parameter_shapes(cls, config: ModelConfig,
                          head_out: int | None = None) -> dict[str, tuple[int, int]]:
         """Expected name -> (rows, cols) map, in parameter order."""
-        d, w = config.d, config.head_width
+        d = config.d
         out = head_out if head_out is not None else config.vocab_size
         shapes: dict[str, tuple[int, int]] = {"tok_emb": (config.vocab_size, d)}
         for b in range(config.blocks):
-            for h in range(config.heads):
-                shapes[f"block{b}.head{h}.wq"] = (d, w)
-                shapes[f"block{b}.head{h}.wk"] = (d, w)
-                shapes[f"block{b}.head{h}.wv"] = (d, w)
+            shapes[f"block{b}.wq"] = (d, d)
+            shapes[f"block{b}.wk"] = (d, d)
+            shapes[f"block{b}.wv"] = (d, d)
             shapes[f"block{b}.attn_norm.gain"] = (1, d)
             shapes[f"block{b}.attn_norm.bias"] = (1, d)
             shapes[f"block{b}.ffn.w1"] = (d, config.ffn_hidden)
@@ -161,13 +172,7 @@ class Model:
         H, w, d = cfg.heads, cfg.head_width, cfg.d
         query = x if query is None else query
         B, Tq = query.shape[0], query.rows
-
-        def side_by_side(kind: str) -> Tensor:
-            """The per-head (d, w) weights of one kind as one (d, H*w) matrix."""
-            return numerics.concat_cols([self.params[f"block{block}.head{h}.{kind}"]
-                                         for h in range(H)])
-
-        wq, wk, wv = side_by_side("wq"), side_by_side("wk"), side_by_side("wv")
+        wq, wk, wv = (self.params[f"block{block}.{kind}"] for kind in ("wq", "wk", "wv"))
         # per-head queries q_h, with the heads in the batch axis: (H, B*Tq, w)
         q = numerics.rearrange(numerics.matmul(query, wq), (B, Tq, H, w), (2, 0, 1, 3),
                                (H, B * Tq, w))

@@ -6,10 +6,10 @@ in float32. Gradient verification runs the same graph in float64, where
 central finite differences are trustworthy.
 
 The kernels are matmul, add, scale, transpose, relu, softmax_rows,
-layer_norm_rows, embedding, concat_cols, rearrange, first_row,
-cross_entropy and sum_all. rearrange regroups axes (reshape, transpose,
-reshape), so attention can move its heads between the batch axis and the
-row or column axis while every value stays rank 2 or 3.
+layer_norm_rows, embedding, rearrange, first_row, cross_entropy and
+sum_all. rearrange regroups axes (reshape, transpose, reshape), so
+attention can move its heads between the batch axis and the row or column
+axis while every value stays rank 2 or 3.
 
 Each kernel builds the output tensor together with a vector-Jacobian
 closure; backward() walks the tape in reverse topological order. Kernels
@@ -305,33 +305,15 @@ def rearrange(a: Tensor, split: tuple[int, ...], axes: tuple[int, ...],
     return _make(data, (a,), vjp)
 
 
-def concat_cols(parts: list[Tensor]) -> Tensor:
-    """Concatenate along the last axis (attention-head outputs)."""
-    data = np.concatenate([p.data for p in parts], axis=-1)
-    widths = [p.cols for p in parts]
-
-    def vjp(g):
-        grads, offset = [], 0
-        for width in widths:
-            grads.append(g[..., offset:offset + width])
-            offset += width
-        return tuple(grads)
-
-    return _make(data, tuple(parts), vjp)
-
-
 def first_row(a: Tensor, keep_rows: bool = False) -> Tensor:
-    """Row 0 of each matrix in the batch: (B, T, d) -> (B, d), (T, d) -> (1, d).
+    """Row 0 of each matrix in a batch: (B, T, d) -> (B, d).
 
     With keep_rows the row axis stays, (B, T, d) -> (B, 1, d), so the CLS
     row can go on through the batched kernels as a one-row matrix.
     """
-    if a.data.ndim == 2:
-        index = (slice(0, 1), slice(None))
-    elif keep_rows:
-        index = (slice(None), slice(0, 1), slice(None))
-    else:
-        index = (slice(None), 0, slice(None))
+    if a.data.ndim != 3:
+        raise ShapeError(f"first_row expects a rank-3 batch, got {a.data.shape}")
+    index = (slice(None), slice(0, 1) if keep_rows else 0, slice(None))
     data = a.data[index]
 
     def vjp(g):
@@ -345,16 +327,14 @@ def first_row(a: Tensor, keep_rows: bool = False) -> Tensor:
 def cross_entropy(logits: Tensor, target_ids) -> Tensor:
     """Mean negative log-likelihood of the targets, computed in log space.
 
-    Accepts one logits row with a scalar target, or a (N, V) batch with N
-    target ids; the result is a scalar tensor either way.
+    Takes (N, V) logits and N target ids; the result is a scalar tensor.
     """
-    squeeze = logits.data.ndim == 1
-    raw = logits.data[None, :] if squeeze else logits.data
+    raw = logits.data
     if raw.ndim != 2:
-        raise ShapeError(f"cross_entropy expects rank 1 or 2 logits, got {logits.data.shape}")
-    targets = np.atleast_1d(np.asarray(target_ids, dtype=np.int64))
-    if targets.shape[0] != raw.shape[0]:
-        raise ShapeError(f"{targets.shape[0]} targets for {raw.shape[0]} logit rows")
+        raise ShapeError(f"cross_entropy expects rank 2 logits, got {raw.shape}")
+    targets = np.asarray(target_ids, dtype=np.int64)
+    if targets.shape != raw.shape[:1]:
+        raise ShapeError(f"targets of shape {targets.shape} for {raw.shape[0]} logit rows")
     if targets.size and (targets.min() < 0 or targets.max() >= raw.shape[1]):
         raise IndexError(f"target id out of range for {raw.shape[1]} classes")
     m = raw.max(axis=-1, keepdims=True)
@@ -367,8 +347,7 @@ def cross_entropy(logits: Tensor, target_ids) -> Tensor:
     def vjp(g):
         soft = np.exp(log_probs)
         soft[np.arange(n), targets] -= 1.0
-        grad = soft * (g / n)
-        return (grad[0] if squeeze else grad,)
+        return (soft * (g / n),)
 
     return _make(data, (logits,), vjp)
 

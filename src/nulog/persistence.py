@@ -6,6 +6,11 @@ vocab_size, epochs, batch_size, seed) | vocab count, then per token a byte
 length and UTF-8 bytes, in id order | tensor count, then per tensor a
 length-prefixed UTF-8 name, rows, cols, and row-major float32 values.
 
+Format version 2 stores each block's attention projections as the three
+(d, d) tensors block{b}.wq, block{b}.wk and block{b}.wv. Version 1 stored
+one (d, w) tensor per head and kind; it is rejected like any other
+version, so a version-1 model has to be retrained.
+
 Floats are written as float32 regardless of platform so a round-trip is
 bitwise identical.
 """
@@ -21,7 +26,7 @@ from .model import Model, ModelConfig
 from .tokenizer import SPECIAL_TOKENS, Vocabulary
 
 MAGIC = b"NULG"
-VERSION = 1
+VERSION = 2
 
 _CONFIG_SCALARS = ("d", "heads", "ffn_hidden", "blocks", "frame_length",
                    "vocab_size", "epochs", "batch_size", "seed")

@@ -470,3 +470,54 @@ class TestExitCodes:
         assert main(argv) == 4
         assert "LineId 1 appears more than once" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["train", "parse"])
+    def test_row_without_content_is_schema_error(self, workspace, tmp_path, capsys,
+                                                 command):
+        data = tmp_path / "short_row.csv"
+        data.write_text("LineId,Content\n1,hello world\n2\n", encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--data", str(data), "--out-model", str(out), *TINY_DIMS]
+        else:
+            argv = ["parse", "--data", str(data), "--model", str(workspace["model"]),
+                    "--out", str(out)]
+        assert main(argv) == 4
+        assert "data row 2 has no Content cell" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", "4294967296"])
+    @pytest.mark.parametrize("source", ["flag", "env"])
+    @pytest.mark.parametrize("command", ["train", "detect"])
+    def test_seed_outside_u32_is_config_error(self, workspace, tmp_path, capsys,
+                                              monkeypatch, command, source, seed):
+        out = tmp_path / "out" / "result"
+        out.parent.mkdir()
+        if command == "train":
+            argv = ["train", "--data", str(workspace["data"]), "--out-model", str(out),
+                    *TINY_DIMS]
+        else:
+            data = tmp_path / "alerts.log"
+            write_alert_log(data)
+            argv = ["detect", "--data", str(data), "--mode", "unsupervised",
+                    "--out", str(out), *TINY_DIMS]
+        if source == "flag":
+            argv += ["--seed", seed]
+        else:
+            monkeypatch.setenv("NULOG_SEED", seed)
+        assert main(argv) == 3
+        assert f"seed must be in [0, 2**32), got {seed}" in capsys.readouterr().err
+        assert list(out.parent.iterdir()) == []
+
+    def test_seed_is_checked_before_the_data_is_read(self, tmp_path):
+        assert main(["train", "--data", str(tmp_path / "absent.csv"),
+                     "--out-model", str(tmp_path / "m.nulog"), "--seed", "-1"]) == 3
+
+    @pytest.mark.parametrize("seed", ["0", "4294967295"])
+    def test_seed_range_ends_are_accepted(self, workspace, tmp_path, seed):
+        out = tmp_path / "edge.nulog"
+        code = main(["train", "--data", str(workspace["data"]),
+                     "--config", str(workspace["config"]), "--out-model", str(out),
+                     "--seed", seed, *TINY_DIMS])
+        assert code == 0
+        assert load_model(out).config.seed == int(seed)

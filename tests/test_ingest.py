@@ -177,6 +177,15 @@ class TestLoadLoghubCsv:
         with pytest.raises(SchemaError, match="first"):
             load_loghub_csv(path)
 
+    def test_row_without_content_cell_names_the_row(self, tmp_path):
+        path = self.write(tmp_path, "LineId,Content\n1,hello world\n2\n")
+        with pytest.raises(SchemaError, match="data row 2 has no Content cell"):
+            load_loghub_csv(path)
+
+    def test_empty_content_cell_is_an_empty_message(self, tmp_path):
+        path = self.write(tmp_path, "LineId,Content\n1,hello world\n2,\n")
+        assert [r.content for r in load_loghub_csv(path)] == ["hello world", ""]
+
     def test_reload_gives_equal_records(self, tmp_path):
         path = self.write(tmp_path, "LineId,Content\n1,a\n2,b\n3,c\n")
         assert load_loghub_csv(path) == load_loghub_csv(path)

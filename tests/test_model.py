@@ -39,6 +39,12 @@ def two_template_messages(n_per=40, seed=3):
     return out
 
 
+def head_columns(model, block, kind, h):
+    """Head h's (d, w) column block of a block's wq, wk or wv matrix."""
+    w = model.config.head_width
+    return model.params[f"block{block}.{kind}"].data[:, h * w:(h + 1) * w]
+
+
 class TestModelConfig:
     def test_heads_must_divide_dimension(self):
         with pytest.raises(ValidationError):
@@ -107,7 +113,23 @@ class TestInitialisation:
         for name, tensor in model.params.items():
             digest.update(name.encode() + b"\0" + tensor.data.tobytes())
         assert digest.hexdigest() == \
-            "5af47a364b9594ce9879fe70af14ec2e04fc32eaa1a820beecb0b6fa038da30a"
+            "1cd626bae581063d2b822f3c8c646bb09625403b7f288096db6fe4ac728bc5f6"
+
+    def test_projection_columns_hold_the_per_head_draws(self):
+        # a seed draws what it drew when each head had its own (d, w)
+        # matrices: tok_emb, then head 0 wq, wk, wv, head 1, ..., then ffn.w1
+        config = tiny_config(heads=4)
+        H, w, d = config.heads, config.head_width, config.d
+        model = Model(config)
+        rng = np.random.default_rng(config.seed)
+        rng.uniform(-0.1, 0.1, size=(config.vocab_size, d))
+        draws = [rng.uniform(-0.1, 0.1, size=(d, w)).astype(np.float32)
+                 for _ in range(3 * H)]
+        for h in range(H):
+            for k, kind in enumerate(("wq", "wk", "wv")):
+                assert np.array_equal(head_columns(model, 0, kind, h), draws[3 * h + k])
+        ffn_w1 = rng.uniform(-0.1, 0.1, size=(d, config.ffn_hidden)).astype(np.float32)
+        assert np.array_equal(model.params["block0.ffn.w1"].data, ffn_w1)
 
 
 class TestEmbed:
@@ -141,14 +163,12 @@ class TestEmbed:
 class TestAttention:
     def test_zero_query_key_gives_column_mean_of_values(self):
         model = Model(tiny_config(heads=2))
-        for h in range(2):
-            model.params[f"block0.head{h}.wq"].data[:] = 0.0
-            model.params[f"block0.head{h}.wk"].data[:] = 0.0
+        model.params["block0.wq"].data[:] = 0.0
+        model.params["block0.wk"].data[:] = 0.0
         x = Tensor(np.random.default_rng(0).normal(size=(1, 6, 8))
                    .astype(np.float32))
         out = model.attention(x, 0).data[0]
-        values = [x.data[0] @ model.params[f"block0.head{h}.wv"].data
-                  for h in range(2)]
+        values = [x.data[0] @ head_columns(model, 0, "wv", h) for h in range(2)]
         expected = np.concatenate([np.repeat(v.mean(axis=0, keepdims=True),
                                              6, axis=0) for v in values],
                                   axis=1)
@@ -160,8 +180,7 @@ class TestAttention:
                    .astype(np.float32))
         out = model.attention(x, 0).data[0]
         expected = np.concatenate(
-            [x.data[0] @ model.params[f"block0.head{h}.wv"].data
-             for h in range(2)], axis=1)
+            [x.data[0] @ head_columns(model, 0, "wv", h) for h in range(2)], axis=1)
         assert np.allclose(out, expected, atol=1e-5)
 
     def test_attention_rows_sum_to_one(self):
@@ -181,7 +200,7 @@ def per_head_attention(model, x, block, query):
     config, outputs, weights = model.config, [], []
     for h in range(config.heads):
         def param(kind):
-            return model.params[f"block{block}.head{h}.{kind}"].data
+            return head_columns(model, block, kind, h)
         q, k, v = query @ param("wq"), x @ param("wk"), x @ param("wv")
         scores = q @ k.swapaxes(-1, -2) / math.sqrt(config.head_width)
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))

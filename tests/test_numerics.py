@@ -13,7 +13,7 @@ from nulog import numerics
 from nulog.errors import ShapeError, StaleGradientError, ValidationError
 from nulog.model import Model, ModelConfig, train_epoch
 from nulog.numerics import (OptimizerState, ParameterSet, Tensor, add,
-                            concat_cols, cross_entropy, embedding,
+                            cross_entropy, embedding,
                             finite_difference_check, first_row,
                             layer_norm_rows, matmul, no_grad, rearrange,
                             relu, scale, softmax_rows, sum_all, transpose,
@@ -116,6 +116,10 @@ class TestKernelValues:
         with pytest.raises(ShapeError):
             rearrange(Tensor(np.zeros((2, 3, 4))), (2, 3, 4), (0, 1, 2), (2, 3, 2, 2))
 
+    def test_first_row_takes_a_rank_three_batch_only(self):
+        with pytest.raises(ShapeError):
+            first_row(Tensor(np.zeros((3, 4))))
+
     def test_relu(self):
         assert relu(Tensor([[-1.0, 2.0]])).data.tolist() == [[0.0, 2.0]]
 
@@ -131,6 +135,12 @@ class TestKernelValues:
     def test_cross_entropy_target_out_of_range(self):
         with pytest.raises(IndexError):
             cross_entropy(Tensor([[0.0, 1.0]]), np.array([5]))
+
+    def test_cross_entropy_takes_rank_two_logits_and_one_target_per_row(self):
+        with pytest.raises(ShapeError):
+            cross_entropy(Tensor([0.0, 1.0]), 1)
+        with pytest.raises(ShapeError):
+            cross_entropy(Tensor([[0.0, 1.0], [1.0, 0.0]]), np.array([[1], [0]]))
 
     def test_cross_entropy_batch_is_mean_of_singles(self):
         rng = np.random.default_rng(3)
@@ -299,13 +309,13 @@ class TestGradientOwnership:
             assert np.array_equal(a, b)
         assert_grads_disjoint(leaves)
 
-    def test_concat_and_transpose_chain(self):
+    def test_repeated_leaf_and_transpose_chain(self):
         rng = np.random.default_rng(3)
-        leaves = self.leaves(rng, (3, 2), (3, 2), (5, 6))
+        leaves = self.leaves(rng, (3, 6), (3, 6), (5, 6))
 
         def build(a, b, c):
-            # a enters twice, so its second slice is added onto its first
-            joined = concat_cols([a, b, a])
+            # a enters twice, so its second contribution is added onto its first
+            joined = add(add(a, b), a)
             logits = matmul(joined, transpose(c))
             return joined, logits, cross_entropy(logits, np.array([0, 4, 2]))
 
@@ -408,23 +418,20 @@ class TestFiniteDifferences:
         B, T, H, w, d = 2, 3, 2, 2, 4
 
         def build(p):
-            wq = concat_cols([p["wq0"], p["wq1"]])
-            wk = concat_cols([p["wk0"], p["wk1"]])
-            wv = concat_cols([p["wv0"], p["wv1"]])
-            q = rearrange(matmul(p["x"], wq), (B, T, H, w), (2, 0, 1, 3), (H, B * T, w))
-            u = matmul(q, rearrange(wk, (d, H, w), (1, 2, 0), (H, w, d)))
+            q = rearrange(matmul(p["x"], p["wq"]), (B, T, H, w), (2, 0, 1, 3),
+                          (H, B * T, w))
+            u = matmul(q, rearrange(p["wk"], (d, H, w), (1, 2, 0), (H, w, d)))
             u = rearrange(u, (H, B, T, d), (1, 0, 2, 3), (B, H * T, d))
             weights = softmax_rows(scale(matmul(u, transpose(p["x"])),
                                          1.0 / math.sqrt(w)))
             ctx = rearrange(matmul(weights, p["x"]), (B, H, T, d), (1, 0, 2, 3),
                             (H, B * T, d))
-            out = matmul(ctx, rearrange(wv, (d, H, w), (1, 0, 2), (H, d, w)))
+            out = matmul(ctx, rearrange(p["wv"], (d, H, w), (1, 0, 2), (H, d, w)))
             out = rearrange(out, (H, B, T, w), (1, 2, 0, 3), (B, T, d))
             return sum_all(matmul(relu(out), p["r"]))
 
         fd_case(build, x=rng.normal(size=(B, T, d)), r=rng.normal(size=(d, 1)),
-                **{f"w{kind}{h}": rng.normal(size=(d, w))
-                   for kind in "qkv" for h in range(H)})
+                **{f"w{kind}": rng.normal(size=(d, H * w)) for kind in "qkv"})
 
     def test_rearrange_3d_to_3d(self):
         rng = np.random.default_rng(13)
@@ -456,10 +463,10 @@ class TestFiniteDifferences:
         fd_case(lambda p: sum_all(matmul(first_row(p["x"], keep_rows=True), p["w"])),
                 x=rng.normal(size=(3, 4, 5)), w=rng.normal(size=(5, 2)))
 
-    def test_concat_and_first_row(self):
+    def test_first_row_dropping_the_row_axis(self):
         rng = np.random.default_rng(8)
-        fd_case(lambda p: sum_all(first_row(concat_cols([p["a"], p["b"]]))),
-                a=rng.normal(size=(1, 3, 2)), b=rng.normal(size=(1, 3, 2)))
+        fd_case(lambda p: sum_all(matmul(first_row(p["x"]), p["w"])),
+                x=rng.normal(size=(2, 3, 4)), w=rng.normal(size=(4, 2)))
 
     def test_cross_entropy_gradients(self):
         rng = np.random.default_rng(9)

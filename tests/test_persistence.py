@@ -1,6 +1,8 @@
 """Tests for the binary model archive: round-trips, corruption handling,
 and the exact byte layout."""
+import re
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,7 +180,7 @@ class TestLoadValidation:
     def test_newer_version(self, trained, tmp_path):
         blob = self.archive(trained, tmp_path)
         bad = tmp_path / "bad.nulog"
-        for version in (VERSION + 1, 0):
+        for version in (VERSION + 1, 1, 0):
             bad.write_bytes(blob[:4] + struct.pack("<I", version) + blob[8:])
             with pytest.raises(ArchiveError, match="version"):
                 load_model(bad)
@@ -229,3 +231,10 @@ class TestLoadValidation:
         path.write_bytes(b"")
         with pytest.raises(ArchiveError):
             load_model(path)
+
+
+def test_readme_states_the_archive_format_version():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    stated = re.findall(r"format version (\d+)", readme)
+    assert stated, "README does not state the archive format version"
+    assert all(int(v) == VERSION for v in stated), stated
