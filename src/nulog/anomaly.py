@@ -145,21 +145,22 @@ def _prepare(records: list[LogRecord], config: AnomalyConfig):
     train_part, test_part = _split(records, config.train_fraction)
     train_tokens = [tokenize(r.content, pattern) for r in train_part]
     vocab = build_vocabulary(train_tokens)
-    payload = compute_frame_length(train_tokens)
-    train_seqs = [frame(toks, payload, vocab, message_index=r.line_id)
+    frame_length = compute_frame_length(train_tokens)
+    train_seqs = [frame(toks, frame_length, vocab, message_index=r.line_id)
                   for r, toks in zip(train_part, train_tokens)]
-    test_seqs = [frame(tokenize(r.content, pattern), payload, vocab,
+    test_seqs = [frame(tokenize(r.content, pattern), frame_length, vocab,
                        message_index=r.line_id) for r in test_part]
-    return train_part, test_part, train_seqs, test_seqs, vocab, payload
+    return train_part, test_part, train_seqs, test_seqs, vocab, frame_length
 
 
-def _pretrain(train_part, train_seqs, vocab, payload, config: AnomalyConfig) -> Model:
+def _pretrain(train_part, train_seqs, vocab, frame_length,
+              config: AnomalyConfig) -> Model:
     if config.normal_only:
         kept = [s for s, r in zip(train_seqs, train_part) if r.label == NORMAL]
         if not kept:
             raise ValidationError("normal-only training requested but no normal lines")
         train_seqs = kept
-    model_config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+    model_config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                                d=config.d, heads=config.heads,
                                ffn_hidden=config.ffn_hidden, blocks=config.blocks,
                                epochs=config.epochs_unsupervised,
@@ -172,8 +173,9 @@ def run_unsupervised_study(records: list[LogRecord],
                            config: AnomalyConfig) -> tuple[DetectionMetrics, list[Verdict]]:
     """Self-supervised route: pretrain on the early lines without labels,
     then flag late lines whose surprising-token share exceeds delta."""
-    train_part, test_part, train_seqs, test_seqs, vocab, payload = _prepare(records, config)
-    model = _pretrain(train_part, train_seqs, vocab, payload, config)
+    train_part, test_part, train_seqs, test_seqs, vocab, frame_length = _prepare(
+        records, config)
+    model = _pretrain(train_part, train_seqs, vocab, frame_length, config)
     fractions = token_anomaly_fractions(model, test_seqs, config.epsilon)
     verdicts = [Verdict(line_id=record.line_id, fraction=fraction,
                         verdict=unsupervised_classify(fraction, config.delta),
@@ -238,8 +240,9 @@ def run_supervised_study(records: list[LogRecord],
                          config: AnomalyConfig) -> tuple[DetectionMetrics, list[Verdict]]:
     """Pretrain without labels, fine-tune a two-way head on the train labels,
     then classify the held-out tail."""
-    train_part, test_part, train_seqs, test_seqs, vocab, payload = _prepare(records, config)
-    pretrained = _pretrain(train_part, train_seqs, vocab, payload, config)
+    train_part, test_part, train_seqs, test_seqs, vocab, frame_length = _prepare(
+        records, config)
+    pretrained = _pretrain(train_part, train_seqs, vocab, frame_length, config)
     classifier = fine_tune_supervised(pretrained, train_seqs,
                                       [r.label for r in train_part],
                                       config.epochs_finetune)

@@ -93,10 +93,9 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
 
 
 def _count_truncated(token_lists: list[list[str]], corpus,
-                     repeats: list[int] | None = None) -> int:
+                     repeats: list[int]) -> int:
     """Lines that frame() cut short because the frame holds fewer tokens;
-    with repeats, the i-th token list stands for repeats[i] lines."""
-    repeats = repeats or [1] * len(corpus)
+    the i-th token list stands for repeats[i] lines."""
     return sum(n for n, seq, tokens in zip(repeats, corpus, token_lists)
                if len(seq.tokens) < len(tokens))
 
@@ -116,13 +115,10 @@ def cmd_train(args) -> int:
     pattern = compile_filter(config.tokenization_filter)
     token_lists = [tokenize(r.content, pattern) for r in records]
     vocab = build_vocabulary(token_lists)
-    if config.frame_length_override is not None:
-        payload = config.frame_length_override - 1
-    else:
-        payload = compute_frame_length(token_lists)
-    corpus = [frame(toks, payload, vocab, message_index=i)
+    frame_length = compute_frame_length(token_lists)
+    corpus = [frame(toks, frame_length, vocab, message_index=i)
               for i, toks in enumerate(token_lists, start=1)]
-    model_config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+    model_config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                                epochs=config.epochs, seed=seed, **_model_dims(args))
     model = train(corpus, model_config, vocab=vocab)
     persistence.save_model(model, args.out_model)
@@ -134,8 +130,7 @@ def cmd_train(args) -> int:
             "epochs": config.epochs,
             "epsilon": config.epsilon,
             **_model_dims(args),
-            "frame_length": payload + 1, "vocab_size": len(vocab),
-            "messages_truncated": _count_truncated(token_lists, corpus),
+            "frame_length": frame_length, "vocab_size": len(vocab),
             "final_loss": model.training_losses[-1] if model.training_losses else None,
             "losses": model.training_losses,
         },
@@ -145,21 +140,32 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _model_manifest(model_path: str | Path) -> dict:
+def _recorded_config(model_path: str | Path) -> dict:
+    """The config object of the training manifest next to the archive, {}
+    without one. A recorded epsilon must be an int, a filter a str."""
     path = Path(f"{model_path}.manifest.json")
     if not path.exists():
         return {}
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        manifest = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ConfigError(f"{path}: the manifest is not a JSON object")
+    config = manifest.get("config", {})
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: 'config' is not a JSON object")
+    for key, kind in (("epsilon", int), ("tokenization_filter", str)):
+        if key in config and type(config[key]) is not kind:
+            raise ConfigError(f"{path}: config key {key!r} must be of type "
+                              f"{kind.__name__}, got {config[key]!r}")
+    return config
 
 
 def cmd_parse(args) -> int:
     started = time.time()
     model = persistence.load_model(args.model)
-    manifest = _model_manifest(args.model)
-    recorded = manifest.get("config", {})
+    recorded = _recorded_config(args.model)
     epsilon = args.epsilon
     if epsilon is None:
         epsilon = recorded.get("epsilon")
@@ -171,7 +177,6 @@ def cmd_parse(args) -> int:
                                                  WHITESPACE_FILTER)
     pattern = compile_filter(filter_pattern)
     records = ingest.load_loghub_csv(args.data)
-    payload = model.config.frame_length - 1
     # identical lines parse identically: tokenize, frame, score and format
     # each distinct content once, in first-appearance order
     first_line: dict[str, int] = {}
@@ -179,7 +184,7 @@ def cmd_parse(args) -> int:
         first_line.setdefault(r.content, i)
     repeats = list(Counter(r.content for r in records).values())  # same order
     token_lists = [tokenize(content, pattern) for content in first_line]
-    corpus = [frame(toks, payload, model.vocab, message_index=i)
+    corpus = [frame(toks, model.config.frame_length, model.vocab, message_index=i)
               for toks, i in zip(token_lists, first_line.values())]
     parsed, templates, scored = extraction.parse_corpus(model, corpus, epsilon)
     row_of = {content: (p.template_id, p.template,
@@ -205,15 +210,22 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def _read_parsed(path: str | Path) -> list[dict]:
+def _read_table(path: str | Path, required: tuple[str, ...]) -> list[dict]:
+    """The rows of a CSV with the required columns; every row must have a
+    cell in each of them."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.DictReader(fh)
         header = reader.fieldnames or []
-        missing = [c for c in ("line_id", "template_id", "template")
-                   if c not in header]
+        missing = [c for c in required if c not in header]
         if missing:
             raise ingest.SchemaError(f"{path}: missing columns {missing}")
-        return list(reader)
+        rows = list(reader)
+    for position, row in enumerate(rows, start=1):
+        for column in required:
+            if row[column] is None:
+                raise ingest.SchemaError(
+                    f"{path}: data row {position} has no {column} cell")
+    return rows
 
 
 def _parsed_line_id(row: dict, path) -> int:
@@ -225,7 +237,7 @@ def _parsed_line_id(row: dict, path) -> int:
 
 
 def _evaluate_pair(parsed_path, truth_path, pattern) -> tuple[float, float | None]:
-    parsed = _read_parsed(parsed_path)
+    parsed = _read_table(parsed_path, ("line_id", "template_id", "template"))
     truth = ingest.load_loghub_csv(truth_path)
     if any(r.event_id is None for r in truth):
         raise ingest.SchemaError(f"{truth_path}: EventId column required")
@@ -250,14 +262,7 @@ def cmd_eval(args) -> int:
         pattern = ingest.load_config(args.config).tokenization_filter
     outputs = [args.out]
     if args.batch:
-        jobs = []
-        with open(args.batch, encoding="utf-8", newline="") as fh:
-            reader = csv.DictReader(fh)
-            header = reader.fieldnames or []
-            missing = [c for c in ("dataset", "parsed", "truth") if c not in header]
-            if missing:
-                raise ingest.SchemaError(f"{args.batch}: missing columns {missing}")
-            jobs = list(reader)
+        jobs = _read_table(args.batch, ("dataset", "parsed", "truth"))
         if not jobs:
             raise ValidationError(f"{args.batch}: no evaluation jobs")
         rows = []

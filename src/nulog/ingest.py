@@ -36,7 +36,6 @@ class DatasetConfig:
     tokenization_filter: str
     epochs: int = 5
     epsilon: int = 50
-    frame_length_override: int | None = None
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -45,15 +44,11 @@ class DatasetConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.epsilon < 1:
             raise ValidationError(f"epsilon must be >= 1, got {self.epsilon}")
-        if self.frame_length_override is not None and self.frame_length_override < 2:
-            raise ValidationError(
-                f"frame_length_override must be >= 2, got {self.frame_length_override}")
         compile_filter(self.tokenization_filter)
 
 
-_CONFIG_KEYS = ("name", "tokenization_filter", "epochs", "epsilon",
-                "frame_length_override")
-_INT_KEYS = {"epochs": 5, "epsilon": 50, "frame_length_override": None}
+_CONFIG_KEYS = ("name", "tokenization_filter", "epochs", "epsilon")
+_INT_KEYS = ("epochs", "epsilon")
 
 
 def load_config(path: str | Path) -> DatasetConfig:
@@ -82,21 +77,17 @@ def load_config(path: str | Path) -> DatasetConfig:
     for required in ("name", "tokenization_filter"):
         if required not in fields:
             raise ConfigError(f"{path}: missing required key {required!r}")
-    numbers: dict[str, int | None] = {}
-    for key, default in _INT_KEYS.items():
+    numbers: dict[str, int] = {}
+    for key in _INT_KEYS:
         if key in fields:
             try:
                 numbers[key] = int(fields[key])
             except ValueError:
                 raise ConfigError(
                     f"{path}: {key} must be an integer, got {fields[key]!r}") from None
-        else:
-            numbers[key] = default
     try:
         return DatasetConfig(name=fields["name"],
-                             tokenization_filter=fields["tokenization_filter"],
-                             epochs=numbers["epochs"], epsilon=numbers["epsilon"],
-                             frame_length_override=numbers["frame_length_override"])
+                             tokenization_filter=fields["tokenization_filter"], **numbers)
     except ValidationError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

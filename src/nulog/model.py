@@ -1,18 +1,20 @@
 """The encoder: embeddings, positional encoding, multi-head self-attention,
 feed-forward blocks, and the CLS prediction head, plus the training loop.
 
-All learnable tensors live in a ParameterSet so the optimizer, the gradient
-checker, and the archive writer see one flat namespace; parameter_shapes is
-the one list of their names and shapes. Each block's attention projections
-wq, wk and wv are one (d, d) matrix apiece, head h in columns h*w:(h+1)*w
-for head width w. forward_logits is the one forward pass behind training,
-fine-tuning, parsing and classification; because the head reads the CLS
-row alone, its last block computes that row alone. Attention scores its
-query rows against the rows of x themselves, as (q·wk^T)·x^T, and takes
-(p·x)·wv for the output, so for that one row no block forms the keys and
-values of every row. predict_proba is the one softmax over head logits,
-and train_epoch the one optimisation pass, shared by masked-token
-pretraining and supervised fine-tuning.
+All learnable tensors live in one dict, params, so the optimizer, the
+gradient checker, and the archive writer see one flat namespace;
+parameter_shapes is the one list of their names and shapes, in the dict's
+order. Each block's attention projections wq, wk and wv are one (d, d)
+matrix apiece, head h in columns h*w:(h+1)*w for head width w. Every
+forward pass reads (B, frame_length) ids. forward_logits is the one
+forward pass behind training, fine-tuning, parsing and classification;
+because the head reads the CLS row alone, its last block computes that
+row alone. Attention scores its query rows against the rows of x
+themselves, as (q·wk^T)·x^T, and takes (p·x)·wv for the output, so for
+that one row no block forms the keys and values of every row.
+predict_proba is the one softmax over head logits, and train_epoch the
+one optimisation pass, shared by masked-token pretraining and supervised
+fine-tuning.
 """
 from __future__ import annotations
 
@@ -24,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import masking, numerics
-from .errors import ValidationError
+from .errors import ShapeError, ValidationError
 from .masking import MaskedSample
-from .numerics import OptimizerState, ParameterSet, Tensor
+from .numerics import OptimizerState, Tensor
 from .tokenizer import TokenSequence, Vocabulary
 
 log = logging.getLogger(__name__)
@@ -98,7 +100,7 @@ class Model:
         self.training_losses: list[float] = []
         if params is None and rng is None:
             rng = np.random.default_rng(config.seed)
-        self.params = ParameterSet()
+        self.params: dict[str, Tensor] = {}
         for name, shape in self.parameter_shapes(config, self.head_out).items():
             if params is not None:
                 values = params[name]
@@ -118,7 +120,7 @@ class Model:
                 values = np.full(shape, fill, dtype=self.dtype)
             else:
                 values = rng.uniform(-0.1, 0.1, size=shape).astype(self.dtype)
-            self.params.add(name, values)
+            self.params[name] = Tensor(values, requires_grad=True, name=name)
 
     @classmethod
     def parameter_shapes(cls, config: ModelConfig,
@@ -146,8 +148,12 @@ class Model:
     # ---- forward passes ----
 
     def embed(self, framed_ids) -> Tensor:
-        """Token embeddings plus positional rows: (B, T) ids -> (B, T, d)."""
+        """Token embeddings plus positional rows: (B, T) ids -> (B, T, d),
+        T the configured frame length."""
         ids = np.asarray(framed_ids, dtype=np.int64)
+        if ids.ndim != 2 or ids.shape[1] != self.config.frame_length:
+            raise ShapeError(f"expected (B, {self.config.frame_length}) frame ids, "
+                             f"got shape {ids.shape}")
         emb = numerics.embedding(self.params["tok_emb"], ids)
         return numerics.add(emb, Tensor(self.positional))
 

@@ -22,6 +22,10 @@ the parent's grad, copies a view (g itself included), zero-fills and adds
 a contribution of another shape or dtype, and adds every later
 contribution in place. Each grad is thus an array no other tensor holds,
 and a fresh contribution costs no extra pass over memory.
+
+Adam (OptimizerState, optimizer_step) and finite_difference_check take the
+trainable tensors as a plain dict from name to Tensor and visit them in the
+dict's order.
 """
 from __future__ import annotations
 
@@ -361,42 +365,6 @@ def sum_all(a: Tensor) -> Tensor:
     return _make(data, (a,), vjp)
 
 
-class ParameterSet:
-    """Named trainable tensors, iterated in insertion order everywhere."""
-
-    def __init__(self) -> None:
-        self._params: dict[str, Tensor] = {}
-
-    def add(self, name: str, values: np.ndarray) -> Tensor:
-        if name in self._params:
-            raise ValidationError(f"duplicate parameter name {name!r}")
-        t = Tensor(values, requires_grad=True, name=name)
-        self._params[name] = t
-        return t
-
-    def __getitem__(self, name: str) -> Tensor:
-        return self._params[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._params
-
-    def __len__(self) -> int:
-        return len(self._params)
-
-    def names(self) -> list[str]:
-        return list(self._params)
-
-    def items(self):
-        return self._params.items()
-
-    def tensors(self) -> list[Tensor]:
-        return list(self._params.values())
-
-    def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.grad = None
-
-
 class OptimizerState:
     """Adam moment accumulators plus the step counter and hyperparameters."""
 
@@ -404,7 +372,7 @@ class OptimizerState:
     beta2 = 0.999
     eps = 1e-8
 
-    def __init__(self, params: ParameterSet, learning_rate: float = 1e-3):
+    def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3):
         self.learning_rate = learning_rate
         self.step = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
@@ -412,13 +380,13 @@ class OptimizerState:
         # two flat work buffers per dtype, as long as the largest parameter;
         # every update writes its temporaries into views of them
         sizes: dict[np.dtype, int] = {}
-        for t in params.tensors():
+        for t in params.values():
             sizes[t.data.dtype] = max(sizes.get(t.data.dtype, 0), t.data.size)
         self.scratch = {dtype: (np.empty(n, dtype), np.empty(n, dtype))
                         for dtype, n in sizes.items()}
 
 
-def optimizer_step(params: ParameterSet, state: OptimizerState) -> None:
+def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     """One Adam update with bias correction; consumes the gradients.
 
     Gradients are reset to None afterwards, so a second step without an
@@ -454,7 +422,8 @@ def optimizer_step(params: ParameterSet, state: OptimizerState) -> None:
         t.grad = None
 
 
-def finite_difference_check(loss_fn, params: ParameterSet, h: float = 1e-5) -> float:
+def finite_difference_check(loss_fn, params: dict[str, Tensor],
+                            h: float = 1e-5) -> float:
     """Max relative error between analytic gradients and central differences.
 
     loss_fn must rebuild the loss from the current parameter values on every
@@ -465,7 +434,8 @@ def finite_difference_check(loss_fn, params: ParameterSet, h: float = 1e-5) -> f
     stays near 1e-11. The relative error denominator is floored at 1e-3 so
     coordinates with near-zero gradient compare absolutely.
     """
-    params.zero_grad()
+    for t in params.values():
+        t.grad = None
     loss = loss_fn()
     loss.backward()
     analytic = {name: t.grad.copy() for name, t in params.items()}
@@ -485,5 +455,6 @@ def finite_difference_check(loss_fn, params: ParameterSet, h: float = 1e-5) -> f
             rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
             if rel > worst:
                 worst = rel
-    params.zero_grad()
+    for t in params.values():
+        t.grad = None
     return worst

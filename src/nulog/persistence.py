@@ -52,7 +52,7 @@ def save_model(model: Model, path: str | Path) -> None:
         raw = token.encode("utf-8")
         chunks.append(struct.pack("<I", len(raw)))
         chunks.append(raw)
-    names = model.params.names()
+    names = list(model.params)
     chunks.append(struct.pack("<I", len(names)))
     for name in names:
         data = model.params[name].data

@@ -107,14 +107,14 @@ def build_vocabulary(corpus: list[list[str]]) -> Vocabulary:
 
 
 def compute_frame_length(corpus: list[list[str]]) -> int:
-    """Payload budget M: the longest message plus one.
+    """Frame length: the longest message plus two, the width ModelConfig takes.
 
-    The extra slot guarantees every framed message ends with at least one
-    PAD. The full frame is M+1 ids because CLS occupies its own slot.
+    One slot holds CLS and one extra slot guarantees every framed message
+    ends with at least one PAD.
     """
     if not corpus:
         raise ValidationError("cannot compute a frame length over an empty corpus")
-    return max(len(tokens) for tokens in corpus) + 1
+    return max(len(tokens) for tokens in corpus) + 2
 
 
 @dataclass
@@ -126,20 +126,20 @@ class TokenSequence:
     framed_ids: np.ndarray = field(repr=False)
 
 
-def frame(tokens: list[str], payload_length: int, vocab: Vocabulary,
+def frame(tokens: list[str], frame_length: int, vocab: Vocabulary,
           message_index: int = 0) -> TokenSequence:
-    """Frame tokens as [CLS] + ids + PAD padding, total length payload_length + 1.
+    """Frame tokens as [CLS] + ids + PAD padding, frame_length ids in all.
 
-    Messages longer than payload_length - 1 are truncated with a warning so
+    Messages longer than frame_length - 2 are truncated with a warning so
     that unseen long messages survive online parsing.
     """
-    if payload_length < 1:
-        raise ValidationError(f"payload length must be at least 1, got {payload_length}")
-    if len(tokens) > payload_length - 1:
+    if frame_length < 2:
+        raise ValidationError(f"frame length must be at least 2, got {frame_length}")
+    if len(tokens) > frame_length - 2:
         log.warning("message %d truncated from %d to %d tokens",
-                    message_index, len(tokens), payload_length - 1)
-        tokens = tokens[: payload_length - 1]
-    ids = np.full(payload_length + 1, PAD_ID, dtype=np.int64)
+                    message_index, len(tokens), frame_length - 2)
+        tokens = tokens[: frame_length - 2]
+    ids = np.full(frame_length, PAD_ID, dtype=np.int64)
     ids[0] = CLS_ID
     for slot, token in enumerate(tokens, start=1):
         ids[slot] = vocab.encode(token)

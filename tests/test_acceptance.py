@@ -81,13 +81,10 @@ def run_benchmark(name: str, seed: int = 7):
     pattern = compile_filter(config.tokenization_filter)
     token_lists = [tokenize(r.content, pattern) for r in records]
     vocab = build_vocabulary(token_lists)
-    if config.frame_length_override is not None:
-        payload = config.frame_length_override - 1
-    else:
-        payload = compute_frame_length(token_lists)
-    seqs = [frame(toks, payload, vocab, message_index=r.line_id)
+    frame_length = compute_frame_length(token_lists)
+    seqs = [frame(toks, frame_length, vocab, message_index=r.line_id)
             for r, toks in zip(records, token_lists)]
-    model_config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+    model_config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                                epochs=config.epochs, seed=seed)
     model = train(seqs, model_config, vocab=vocab)
     parsed, _, _ = parse_corpus(model, seqs, config.epsilon)
@@ -299,10 +296,10 @@ def _check_archive_round_trip(tmp_path: Path) -> str:
     pattern = compile_filter(r"([ ])")
     token_lists = [tokenize(t, pattern) for t in texts]
     vocab = build_vocabulary(token_lists)
-    payload = compute_frame_length(token_lists)
-    seqs = [frame(toks, payload, vocab, message_index=i)
+    frame_length = compute_frame_length(token_lists)
+    seqs = [frame(toks, frame_length, vocab, message_index=i)
             for i, toks in enumerate(token_lists)]
-    config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+    config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                          d=8, heads=2, ffn_hidden=16, epochs=2, batch_size=4,
                          seed=7)
     model = train(seqs, config, vocab=vocab)
@@ -310,7 +307,7 @@ def _check_archive_round_trip(tmp_path: Path) -> str:
     second = tmp_path / "b.nulog"
     save_model(model, first)
     loaded = load_model(first)
-    for name in model.params.names():
+    for name in model.params:
         assert loaded.params[name].data.tobytes() == \
             model.params[name].data.tobytes()
     save_model(loaded, second)
@@ -390,10 +387,10 @@ def test_criterion_9_synthetic_oracle_recovery():
     pattern = compile_filter(r"([ ])")
     token_lists = [tokenize(c, pattern) for c in corpus.contents]
     vocab = build_vocabulary(token_lists)
-    payload = compute_frame_length(token_lists)
-    seqs = [frame(toks, payload, vocab, message_index=i + 1)
+    frame_length = compute_frame_length(token_lists)
+    seqs = [frame(toks, frame_length, vocab, message_index=i + 1)
             for i, toks in enumerate(token_lists)]
-    config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+    config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                          d=64, heads=4, ffn_hidden=128, blocks=1, epochs=10,
                          batch_size=32, seed=7)
     model = train(seqs, config, vocab=vocab)

@@ -134,10 +134,10 @@ class TestTokenAnomalyFraction:
         pattern = compile_filter(r"([ ])")
         token_lists = [tokenize(t, pattern) for t in corpus_text]
         vocab = build_vocabulary(token_lists)
-        payload = compute_frame_length(token_lists)
-        seqs = [frame(toks, payload, vocab, message_index=i)
+        frame_length = compute_frame_length(token_lists)
+        seqs = [frame(toks, frame_length, vocab, message_index=i)
                 for i, toks in enumerate(token_lists)]
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              epochs=2, seed=7, **SMALL_DIMS)
         model = train(seqs, config, vocab=vocab)
         for seq in seqs[:4]:
@@ -294,9 +294,9 @@ class TestUnsupervisedStudy:
 class TestFineTune:
     def pretrained(self, records, config):
         from nulog.anomaly import _prepare, _pretrain
-        train_part, test_part, train_seqs, test_seqs, vocab, payload = _prepare(
+        train_part, test_part, train_seqs, test_seqs, vocab, frame_length = _prepare(
             records, config)
-        model = _pretrain(train_part, train_seqs, vocab, payload, config)
+        model = _pretrain(train_part, train_seqs, vocab, frame_length, config)
         return model, train_part, train_seqs, test_seqs
 
     def test_head_is_two_way_and_encoder_is_copied(self):
@@ -329,7 +329,7 @@ class TestFineTune:
         labels = [r.label for r in train_part]
         a = fine_tune_supervised(model, train_seqs, labels, epochs=2)
         b = fine_tune_supervised(model, train_seqs, labels, epochs=2)
-        for name in a.params.names():
+        for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
 
     def test_single_class_warns_and_proceeds(self, caplog):

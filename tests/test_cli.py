@@ -1,6 +1,7 @@
 """End-to-end command tests: every subcommand, its files, and exit codes."""
 import csv
 import json
+import shutil
 from collections import Counter
 from pathlib import Path
 
@@ -91,7 +92,7 @@ class TestTrain:
                      "--out-model", str(tmp_path / "x.nulog"), *TINY_DIMS])
         assert code == 3
 
-    def test_frame_length_override_respected(self, workspace, tmp_path):
+    def test_frame_length_override_rejected(self, workspace, tmp_path):
         config = tmp_path / "short.conf"
         config.write_text("name=synth\ntokenization_filter=([ ])\n"
                           "epochs=1\nframe_length_override=5\n",
@@ -100,9 +101,9 @@ class TestTrain:
         code = main(["train", "--data", str(workspace["data"]),
                      "--config", str(config), "--out-model", str(out),
                      *TINY_DIMS])
-        assert code == 0
-        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-        assert manifest["config"]["frame_length"] == 5
+        assert code == 3
+        assert not out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
 
     def test_empty_training_data_is_validation_error(self, tmp_path):
         data = tmp_path / "empty.csv"
@@ -145,6 +146,30 @@ class TestParse:
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["config"]["epsilon"] == 3
 
+    @pytest.mark.parametrize("manifest, key", [
+        ("[1, 2]", "not a JSON object"),
+        ('{"config": "x"}', "'config' is not a JSON object"),
+        ('{"config": {"epsilon": "12"}}', "'epsilon' must be of type int"),
+        ('{"config": {"epsilon": 12.0}}', "'epsilon' must be of type int"),
+        ('{"config": {"epsilon": true}}', "'epsilon' must be of type int"),
+        ('{"config": {"tokenization_filter": 5}}',
+         "'tokenization_filter' must be of type str"),
+    ])
+    def test_malformed_training_manifest_is_config_error(self, workspace, tmp_path,
+                                                         capsys, manifest, key):
+        model = tmp_path / "model.nulog"
+        shutil.copyfile(workspace["model"], model)
+        Path(f"{model}.manifest.json").write_text(manifest, encoding="utf-8")
+        out = tmp_path / "parsed.csv"
+        # the data file is absent: the manifest is checked before it is read
+        code = main(["parse", "--data", str(tmp_path / "absent.csv"),
+                     "--model", str(model), "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{model}.manifest.json" in err and key in err
+        assert not out.exists()
+        assert not Path(f"{out}.manifest.json").exists()
+
     def test_deterministic_output(self, workspace, tmp_path):
         first = tmp_path / "p1.csv"
         second = tmp_path / "p2.csv"
@@ -169,8 +194,6 @@ class TestParse:
         model = tmp_path / "short.nulog"
         assert main(["train", "--data", str(train_data),
                      "--out-model", str(model), *TINY_DIMS]) == 0
-        trained = json.loads(Path(f"{model}.manifest.json").read_text())
-        assert trained["config"]["messages_truncated"] == 0
         parse_data = tmp_path / "long.csv"
         parse_data.write_text("LineId,Content\n1,a b c x y z w\n2,a b c\n",
                               encoding="utf-8")
@@ -219,11 +242,10 @@ class TestParse:
 def parse_line_by_line(data, model_path, epsilon, out):
     """Reference parse: every line scored on its own, no caching."""
     model = load_model(model_path)
-    payload = model.config.frame_length - 1
     rows, template_ids, counts = [], {}, Counter()
     for record in load_loghub_csv(data):
-        seq = frame(tokenize(record.content, WHITESPACE_FILTER), payload,
-                    model.vocab)
+        seq = frame(tokenize(record.content, WHITESPACE_FILTER),
+                    model.config.frame_length, model.vocab)
         keep = constant_masks(model, [seq], epsilon)[0][0]
         template = " ".join(t if k else PLACEHOLDER for t, k in zip(seq.tokens, keep))
         variables = [t for t, k in zip(seq.tokens, keep) if not k]
@@ -323,6 +345,33 @@ class TestEval:
         assert code == 4
         column = "line_id" if repeated == "parsed" else "LineId"
         assert f"{column} 1 appears more than once" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("short", ["parsed", "batch"])
+    def test_short_row_is_schema_error(self, tmp_path, capsys, short):
+        parsed, truth = write_eval_fixture(tmp_path)
+        out = tmp_path / "report.csv"
+        if short == "parsed":
+            parsed.write_text("line_id,template_id,template\n1,0,a b c\n2\n3,1,a x c\n",
+                              encoding="utf-8")
+            argv = ["eval", "--parsed", str(parsed), "--truth", str(truth)]
+            expected = f"{parsed}: data row 2 has no template_id cell"
+        else:
+            jobs = tmp_path / "jobs.csv"
+            jobs.write_text("dataset,parsed,truth\nx,p.csv\n", encoding="utf-8")
+            argv = ["eval", "--batch", str(jobs)]
+            expected = f"{jobs}: data row 1 has no truth cell"
+        assert main([*argv, "--out", str(out)]) == 4
+        assert expected in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_batch_job_may_leave_config_out(self, tmp_path):
+        parsed, truth = write_eval_fixture(tmp_path)
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_text(f"dataset,parsed,truth,config\none,{parsed},{truth}\n",
+                        encoding="utf-8")
+        out = tmp_path / "report.csv"
+        assert main(["eval", "--batch", str(jobs), "--out", str(out)]) == 0
+        assert [r["dataset"] for r in read_csv(out)] == ["one"]
 
     def test_missing_pair_flags_is_config_error(self, tmp_path):
         code = main(["eval", "--out", str(tmp_path / "report.csv")])

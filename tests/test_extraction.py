@@ -43,8 +43,8 @@ class StubModel:
 def framed_corpus(messages):
     token_lists = [tokenize(m, WHITESPACE_FILTER) for m in messages]
     vocab = build_vocabulary(token_lists)
-    payload = compute_frame_length(token_lists)
-    seqs = [frame(toks, payload, vocab, message_index=i)
+    frame_length = compute_frame_length(token_lists)
+    seqs = [frame(toks, frame_length, vocab, message_index=i)
             for i, toks in enumerate(token_lists)]
     return seqs, vocab
 
@@ -126,8 +126,8 @@ class TestConstantMask:
     def test_agrees_with_is_constant_on_a_trained_model(self):
         seqs, vocab = framed_corpus(
             [f"job j{i} finished with code {i % 3}" for i in range(16)])
-        payload = len(seqs[0].framed_ids) - 1
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        frame_length = len(seqs[0].framed_ids)
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              d=16, heads=2, ffn_hidden=32, epochs=3,
                              batch_size=8, seed=7)
         model = train(seqs, config, vocab=vocab)
@@ -142,7 +142,7 @@ class TestConstantMask:
 
     def test_unknown_token_is_never_constant(self):
         vocab = build_vocabulary([["alpha", "beta"]])
-        seq = frame(["alpha", "zzz", "beta"], 4, vocab, message_index=0)
+        seq = frame(["alpha", "zzz", "beta"], 5, vocab, message_index=0)
         model = StubModel(len(vocab), constant_ids=set(range(len(vocab))))
         assert mask_alone(model, seq, epsilon=len(vocab)).tolist() == \
             [True, False, True]
@@ -180,8 +180,8 @@ class TestConstantMasks:
         # same input, held by more samples than one chunk ranks at a time
         seqs, vocab = framed_corpus(
             [f"session s{i} opened" for i in range(300)] + ["session s7 opened"])
-        payload = len(seqs[0].framed_ids) - 1
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        frame_length = len(seqs[0].framed_ids)
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              d=16, heads=2, ffn_hidden=32, epochs=2,
                              batch_size=32, seed=7)
         model = train(seqs, config, vocab=vocab)
@@ -206,14 +206,14 @@ class TestConstantMasks:
         # tokens the vocabulary has never seen
         train_seqs, vocab = framed_corpus(
             [f"node n{i % 7} sent {i % 5} packets to host h{i % 3}" for i in range(40)])
-        payload = len(train_seqs[0].framed_ids) - 1
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        frame_length = len(train_seqs[0].framed_ids)
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              d=16, heads=2, ffn_hidden=32, blocks=2, epochs=2,
                              batch_size=8, seed=7)
         model = train(train_seqs, config, vocab=vocab)
         seqs = list(train_seqs)
-        seqs.insert(5, frame([], payload, vocab, message_index=100))
-        seqs.insert(11, frame(["node", "n9", "sent", "zzz", "packets"], payload,
+        seqs.insert(5, frame([], frame_length, vocab, message_index=100))
+        seqs.insert(11, frame(["node", "n9", "sent", "zzz", "packets"], frame_length,
                               vocab, message_index=101))
         assert sum(len(s.tokens) for s in seqs) > MASK_CHUNK
         assert UNK_ID in seqs[11].framed_ids
@@ -280,7 +280,7 @@ class TestExtractTemplate:
     def test_unknown_token_is_always_variable(self):
         token_lists = [["alpha", "beta"]]
         vocab = build_vocabulary(token_lists)
-        seq = frame(["alpha", "zzz"], 3, vocab, message_index=0)
+        seq = frame(["alpha", "zzz"], 4, vocab, message_index=0)
         assert seq.framed_ids[2] == UNK_ID
         model = StubModel(len(vocab), constant_ids=set(range(len(vocab))))
         template, variables = extract(model, seq, epsilon=len(vocab))
@@ -326,10 +326,10 @@ class TestParseCorpus:
             truth.append("stop")
         token_lists = [tokenize(m, WHITESPACE_FILTER) for m in messages]
         vocab = build_vocabulary(token_lists)
-        payload = compute_frame_length(token_lists)
-        seqs = [frame(t, payload, vocab, message_index=i)
+        frame_length = compute_frame_length(token_lists)
+        seqs = [frame(t, frame_length, vocab, message_index=i)
                 for i, t in enumerate(token_lists)]
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              d=16, heads=2, ffn_hidden=32, epochs=50,
                              batch_size=16, seed=7)
         model = train(seqs, config, vocab=vocab)

@@ -13,7 +13,6 @@ class TestDatasetConfig:
         config = DatasetConfig(name="x", tokenization_filter=r"([ ])")
         assert config.epochs == 5
         assert config.epsilon == 50
-        assert config.frame_length_override is None
 
     def test_empty_name_rejected(self):
         with pytest.raises(ValidationError):
@@ -27,12 +26,6 @@ class TestDatasetConfig:
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValidationError):
             DatasetConfig(name="x", tokenization_filter=r"([ ])", epsilon=0)
-
-    def test_override_below_minimum_rejected(self):
-        # a frame is CLS plus at least one payload slot
-        with pytest.raises(ValidationError):
-            DatasetConfig(name="x", tokenization_filter=r"([ ])",
-                          frame_length_override=1)
 
     def test_invalid_filter_rejected(self):
         with pytest.raises(ConfigError):
@@ -59,7 +52,6 @@ class TestLoadConfig:
         assert config.tokenization_filter == ALERT_FILTER
         assert config.epochs == 3
         assert config.epsilon == 50
-        assert config.frame_length_override is None
 
     def test_integer_defaults(self, tmp_path):
         path = self.write(tmp_path, "name=tiny\ntokenization_filter=([ ])\n")
@@ -73,10 +65,11 @@ class TestLoadConfig:
                           "name=hpc\ntokenization_filter=([ |=])\nepochs=3\n")
         assert load_config(path).tokenization_filter == "([ |=])"
 
-    def test_frame_length_override_parsed(self, tmp_path):
+    def test_frame_length_override_rejected(self, tmp_path):
         path = self.write(tmp_path, ("name=x\ntokenization_filter=([ ])\n"
                                      "frame_length_override=12\n"))
-        assert load_config(path).frame_length_override == 12
+        with pytest.raises(ConfigError, match=r":3:.*frame_length_override"):
+            load_config(path)
 
     def test_unknown_key_reports_line(self, tmp_path):
         path = self.write(tmp_path,

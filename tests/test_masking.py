@@ -7,11 +7,11 @@ from nulog.masking import enumerate_masks, sample_random_mask
 from nulog.tokenizer import (CLS_ID, MASK_ID, PAD_ID, build_vocabulary, frame)
 
 
-def make_seq(tokens, payload=None):
+def make_seq(tokens, frame_length=None):
     vocab = build_vocabulary([tokens] if tokens else [["a"]])
-    if payload is None:
-        payload = max(len(tokens) + 1, 2)
-    return frame(tokens, payload, vocab), vocab
+    if frame_length is None:
+        frame_length = max(len(tokens) + 2, 3)
+    return frame(tokens, frame_length, vocab), vocab
 
 
 class TestSampleRandomMask:
@@ -71,7 +71,7 @@ class TestEnumerateMasks:
     @given(st.lists(st.sampled_from(["a", "b", "c"]), max_size=8),
            st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_specials_never_masked_and_frames_restore(self, tokens, seed):
-        seq, _ = make_seq(tokens, payload=10)
+        seq, _ = make_seq(tokens, frame_length=11)
         samples = enumerate_masks(seq)
         random_sample = sample_random_mask(seq, np.random.default_rng(seed))
         if tokens:

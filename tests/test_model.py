@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nulog import masking, numerics
-from nulog.errors import ValidationError
+from nulog.errors import ShapeError, ValidationError
 from nulog.model import Model, ModelConfig, positional_encoding, train
 from nulog.numerics import Tensor, cross_entropy, finite_difference_check
 from nulog.tokenizer import (CLS_ID, build_vocabulary, compute_frame_length,
@@ -20,14 +20,14 @@ def tiny_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def build_corpus(messages, payload=None):
+def build_corpus(messages, frame_length=None):
     token_lists = [tokenize(m, WHITESPACE_FILTER) for m in messages]
     vocab = build_vocabulary(token_lists)
-    if payload is None:
-        payload = compute_frame_length(token_lists)
-    seqs = [frame(toks, payload, vocab, message_index=i)
+    if frame_length is None:
+        frame_length = compute_frame_length(token_lists)
+    seqs = [frame(toks, frame_length, vocab, message_index=i)
             for i, toks in enumerate(token_lists)]
-    return seqs, vocab, payload
+    return seqs, vocab, frame_length
 
 
 def two_template_messages(n_per=40, seed=3):
@@ -94,7 +94,7 @@ class TestInitialisation:
         config = tiny_config(blocks=2)
         model = Model(config, head_out=2)
         shapes = Model.parameter_shapes(config, head_out=2)
-        assert model.params.names() == list(shapes)
+        assert list(model.params) == list(shapes)
         assert all(model.params[n].data.shape == shape for n, shape in shapes.items())
 
     def test_norms_start_as_identity(self):
@@ -158,6 +158,14 @@ class TestEmbed:
         model = Model(tiny_config())
         with pytest.raises(IndexError):
             model.embed(np.array([[99, 0, 0, 0, 0, 0]]))
+
+    # one id narrower or wider than the frame, one id (which would
+    # broadcast against the positional rows), and an unbatched frame
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 7), (2, 1), (6,)])
+    def test_ids_of_another_shape_rejected(self, shape):
+        model = Model(tiny_config())
+        with pytest.raises(ShapeError, match=r"\(B, 6\) frame ids"):
+            model.embed(np.zeros(shape, dtype=np.int64))
 
 
 class TestAttention:
@@ -320,8 +328,8 @@ class TestForwardLogits:
 
 class TestPredictMasked:
     def test_output_is_distribution(self):
-        seqs, vocab, payload = build_corpus(["alpha beta gamma", "alpha beta"])
-        config = tiny_config(vocab_size=len(vocab), frame_length=payload + 1)
+        seqs, vocab, frame_length = build_corpus(["alpha beta gamma", "alpha beta"])
+        config = tiny_config(vocab_size=len(vocab), frame_length=frame_length)
         model = Model(config, vocab=vocab)
         sample = masking.enumerate_masks(seqs[0])[1]
         probs = model.predict_masked_batch([sample])[0]
@@ -330,9 +338,9 @@ class TestPredictMasked:
         assert math.isclose(float(probs.sum()), 1.0, abs_tol=1e-6)
 
     def test_untrained_loss_near_log_vocab(self):
-        seqs, vocab, payload = build_corpus(
+        seqs, vocab, frame_length = build_corpus(
             [f"msg number {i} with words w{i}" for i in range(30)])
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              d=16, heads=2, ffn_hidden=32, epochs=0, seed=7)
         model = Model(config, vocab=vocab)
         samples = [masking.enumerate_masks(s)[0] for s in seqs]
@@ -346,8 +354,8 @@ class TestPredictMasked:
         rng = np.random.default_rng(5)
         messages = [f"INFO event e{rng.integers(10_000, 99_999)} raised"
                     for _ in range(50)]
-        seqs, vocab, payload = build_corpus(messages)
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        seqs, vocab, frame_length = build_corpus(messages)
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              d=16, heads=2, ffn_hidden=32, epochs=100,
                              batch_size=16, seed=7)
         model = train(seqs, config, vocab=vocab)
@@ -359,8 +367,8 @@ class TestPredictMasked:
 
 class TestTrain:
     def test_loss_decreases_on_two_template_corpus(self):
-        seqs, vocab, payload = build_corpus(two_template_messages())
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        seqs, vocab, frame_length = build_corpus(two_template_messages())
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              d=16, heads=2, ffn_hidden=32, epochs=8,
                              batch_size=16, seed=7)
         model = train(seqs, config, vocab=vocab)
@@ -368,25 +376,25 @@ class TestTrain:
         assert model.training_losses[-1] < model.training_losses[0]
 
     def test_zero_epochs_returns_initialization(self):
-        seqs, vocab, payload = build_corpus(["a b c", "a b d"])
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        seqs, vocab, frame_length = build_corpus(["a b c", "a b d"])
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              d=8, heads=2, ffn_hidden=16, epochs=0, seed=13)
         trained = train(seqs, config, vocab=vocab)
         reference = Model(config, vocab=vocab,
                           rng=np.random.default_rng(config.seed))
-        for name in reference.params.names():
+        for name in reference.params:
             assert np.array_equal(trained.params[name].data,
                                   reference.params[name].data)
         assert trained.training_losses == []
 
     def test_same_seed_gives_bitwise_identical_parameters(self):
-        seqs, vocab, payload = build_corpus(two_template_messages(n_per=10))
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        seqs, vocab, frame_length = build_corpus(two_template_messages(n_per=10))
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              d=8, heads=2, ffn_hidden=16, epochs=3,
                              batch_size=8, seed=21)
         a = train(seqs, config, vocab=vocab)
         b = train(seqs, config, vocab=vocab)
-        for name in a.params.names():
+        for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
 
     def test_empty_corpus_rejected(self):

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from nulog import numerics
 from nulog.errors import ShapeError, StaleGradientError, ValidationError
 from nulog.model import Model, ModelConfig, train_epoch
-from nulog.numerics import (OptimizerState, ParameterSet, Tensor, add,
+from nulog.numerics import (OptimizerState, Tensor, add,
                             cross_entropy, embedding,
                             finite_difference_check, first_row,
                             layer_norm_rows, matmul, no_grad, rearrange,
@@ -20,11 +20,10 @@ from nulog.numerics import (OptimizerState, ParameterSet, Tensor, add,
                             optimizer_step)
 
 
-def param_set(**arrays) -> ParameterSet:
-    params = ParameterSet()
-    for name, values in arrays.items():
-        params.add(name, np.asarray(values, dtype=np.float64))
-    return params
+def param_set(**arrays) -> dict[str, Tensor]:
+    return {name: Tensor(np.asarray(values, dtype=np.float64), requires_grad=True,
+                         name=name)
+            for name, values in arrays.items()}
 
 
 class TestTensorBasics:
@@ -519,20 +518,6 @@ class TestEmbeddingScatter:
         assert np.array_equal(grad, expected)
 
 
-class TestParameterSet:
-    def test_duplicate_name_rejected(self):
-        params = ParameterSet()
-        params.add("w", np.zeros((1, 1), dtype=np.float32))
-        with pytest.raises(ValidationError):
-            params.add("w", np.zeros((1, 1), dtype=np.float32))
-
-    def test_order_preserved(self):
-        params = ParameterSet()
-        for name in ("c", "a", "b"):
-            params.add(name, np.zeros((1, 1), dtype=np.float32))
-        assert params.names() == ["c", "a", "b"]
-
-
 class TestOptimizer:
     def test_zero_gradient_means_no_motion(self):
         params = param_set(w=np.array([[1.0, -2.0]]))
@@ -567,7 +552,7 @@ class TestOptimizer:
         for _ in range(200):
             loss = sum_all(matmul(params["theta"],
                                   transpose(params["theta"])))
-            params.zero_grad()
+            params["theta"].grad = None
             loss.backward()
             optimizer_step(params, state)
             history.append(abs(float(params["theta"].data[0, 0])))
@@ -577,9 +562,9 @@ class TestOptimizer:
 
     def test_in_place_update_matches_the_out_of_place_formula_bitwise(self):
         rng = np.random.default_rng(5)
-        params = ParameterSet()
-        for name, shape in (("w", (40, 24)), ("b", (1, 24))):
-            params.add(name, rng.normal(size=shape).astype(np.float32))
+        params = {name: Tensor(rng.normal(size=shape).astype(np.float32),
+                               requires_grad=True, name=name)
+                  for name, shape in (("w", (40, 24)), ("b", (1, 24)))}
         state = OptimizerState(params, learning_rate=1e-2)
         b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
         ref = {n: t.data.copy() for n, t in params.items()}

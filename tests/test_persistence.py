@@ -21,16 +21,16 @@ def tiny_corpus():
     texts = ["alpha beta 11", "alpha beta 22", "gamma delta off", "gamma on"]
     token_lists = [tokenize(t, PATTERN) for t in texts]
     vocab = build_vocabulary(token_lists)
-    payload = compute_frame_length(token_lists)
-    seqs = [frame(toks, payload, vocab, message_index=i)
+    frame_length = compute_frame_length(token_lists)
+    seqs = [frame(toks, frame_length, vocab, message_index=i)
             for i, toks in enumerate(token_lists)]
-    return seqs, vocab, payload
+    return seqs, vocab, frame_length
 
 
 @pytest.fixture(scope="module")
 def trained():
-    seqs, vocab, payload = tiny_corpus()
-    config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+    seqs, vocab, frame_length = tiny_corpus()
+    config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                          d=8, heads=2, ffn_hidden=16, epochs=2, batch_size=4,
                          seed=7)
     return train(seqs, config, vocab=vocab), seqs
@@ -44,7 +44,7 @@ def expected_file_size(model: Model) -> int:
     for token in model.vocab.tokens():
         size += 4 + len(token.encode("utf-8"))
     size += 4  # tensor count
-    for name in model.params.names():
+    for name in model.params:
         rows, cols = model.params[name].data.shape
         size += 4 + len(name.encode("utf-8")) + 4 + 4 + rows * cols * 4
     return size
@@ -56,8 +56,8 @@ class TestRoundTrip:
         path = tmp_path / "model.nulog"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.params.names() == model.params.names()
-        for name in model.params.names():
+        assert list(loaded.params) == list(model.params)
+        for name in model.params:
             original = model.params[name].data
             restored = loaded.params[name].data
             assert restored.dtype == np.float32
@@ -102,7 +102,7 @@ class TestRoundTrip:
         loaded = load_model(path)
         assert loaded.params["head.w"].data.shape == (model.config.d, 2)
         assert loaded.params["head.b"].data.shape == (1, 2)
-        for name in classifier.params.names():
+        for name in classifier.params:
             assert np.array_equal(loaded.params[name].data,
                                   classifier.params[name].data)
 
@@ -147,8 +147,8 @@ class TestSaveValidation:
             save_model(Model(config), tmp_path / "m.nulog")
 
     def test_vocab_size_mismatch_rejected(self, tmp_path):
-        seqs, vocab, payload = tiny_corpus()
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        seqs, vocab, frame_length = tiny_corpus()
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              d=8, heads=2, ffn_hidden=16)
         model = Model(config, vocab=vocab)
         vocab.add("brand-new-token")
@@ -156,8 +156,8 @@ class TestSaveValidation:
             save_model(model, tmp_path / "m.nulog")
 
     def test_config_scalar_beyond_u32_rejected(self, tmp_path):
-        seqs, vocab, payload = tiny_corpus()
-        config = ModelConfig(vocab_size=len(vocab), frame_length=payload + 1,
+        seqs, vocab, frame_length = tiny_corpus()
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
                              d=8, heads=2, ffn_hidden=16, seed=2 ** 32)
         with pytest.raises(ValidationError, match="seed"):
             save_model(Model(config, vocab=vocab), tmp_path / "m.nulog")

@@ -114,11 +114,12 @@ class TestVocabulary:
 
 class TestFrameLength:
     def test_max_plus_one(self):
+        # CLS, then the longest message plus one PAD
         corpus = [["a"] * 9, ["b"] * 3]
-        assert compute_frame_length(corpus) == 10
+        assert compute_frame_length(corpus) == 11
 
     def test_all_single_token(self):
-        assert compute_frame_length([["a"], ["b"]]) == 2
+        assert compute_frame_length([["a"], ["b"]]) == 3
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
@@ -128,25 +129,25 @@ class TestFrameLength:
 class TestFrame:
     def test_direct_construction(self):
         vocab = build_vocabulary([["a", "b"]])
-        seq = frame(["a", "b"], 4, vocab)
+        seq = frame(["a", "b"], 5, vocab)
         assert seq.framed_ids.tolist() == [CLS_ID, vocab.encode("a"),
                                            vocab.encode("b"), PAD_ID, PAD_ID]
 
     def test_oov_token_becomes_unk(self):
         vocab = build_vocabulary([["a"]])
-        seq = frame(["zzz"], 3, vocab)
+        seq = frame(["zzz"], 4, vocab)
         assert seq.framed_ids.tolist() == [CLS_ID, UNK_ID, PAD_ID, PAD_ID]
 
     def test_full_payload_keeps_one_pad(self):
         vocab = build_vocabulary([["a", "b", "c"]])
-        seq = frame(["a", "b", "c"], 4, vocab)
+        seq = frame(["a", "b", "c"], 5, vocab)
         assert len(seq.framed_ids) == 5
         assert seq.framed_ids.tolist().count(PAD_ID) == 1
 
     def test_overlong_message_truncated_with_warning(self, caplog):
         vocab = build_vocabulary([["a"]])
         with caplog.at_level(logging.WARNING):
-            seq = frame(["a"] * 10, 4, vocab)
+            seq = frame(["a"] * 10, 5, vocab)
         assert len(seq.tokens) == 3
         assert len(seq.framed_ids) == 5
         assert any("truncat" in rec.message for rec in caplog.records)
@@ -154,26 +155,27 @@ class TestFrame:
     def test_payload_below_one_rejected(self):
         vocab = build_vocabulary([["a"]])
         with pytest.raises(ValidationError):
-            frame(["a"], 0, vocab)
+            frame(["a"], 1, vocab)
 
     def test_minimal_payload_is_cls_plus_pad(self):
-        # an all-empty corpus yields payload budget 1: frames are [CLS, PAD]
+        # an all-empty corpus yields frame length 2: frames are [CLS, PAD]
         vocab = build_vocabulary([["a"]])
-        seq = frame([], 1, vocab)
+        assert compute_frame_length([[], []]) == 2
+        seq = frame([], 2, vocab)
         assert seq.framed_ids.tolist() == [CLS_ID, PAD_ID]
 
     def test_empty_message_is_cls_plus_padding(self):
         vocab = build_vocabulary([["a"]])
-        seq = frame([], 3, vocab)
+        seq = frame([], 4, vocab)
         assert seq.framed_ids.tolist() == [CLS_ID, PAD_ID, PAD_ID, PAD_ID]
 
     @given(st.lists(st.sampled_from(["a", "b", "c", "zzz"]), max_size=12),
-           st.integers(min_value=2, max_value=8))
-    def test_frame_invariants(self, tokens, payload):
+           st.integers(min_value=3, max_value=9))
+    def test_frame_invariants(self, tokens, frame_length):
         vocab = build_vocabulary([["a", "b", "c"]])
-        seq = frame(tokens, payload, vocab)
+        seq = frame(tokens, frame_length, vocab)
         ids = seq.framed_ids
-        assert len(ids) == payload + 1
+        assert len(ids) == frame_length
         assert ids[0] == CLS_ID
         assert ids.tolist().count(PAD_ID) >= 1
         real = [i for i in ids.tolist()[1:] if i != PAD_ID]
