@@ -165,7 +165,9 @@ def _pretrain(train_part, train_seqs, vocab, frame_length,
                                ffn_hidden=config.ffn_hidden, blocks=config.blocks,
                                epochs=config.epochs_unsupervised,
                                batch_size=config.batch_size,
-                               learning_rate=config.learning_rate, seed=config.seed)
+                               learning_rate=config.learning_rate, seed=config.seed,
+                               tokenization_filter=config.tokenization_filter,
+                               epsilon=config.epsilon)
     return train(train_seqs, model_config, vocab=vocab)
 
 

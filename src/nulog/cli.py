@@ -1,9 +1,9 @@
 """Command-line pipeline: train, parse, eval, detect.
 
 Every command writes a JSON manifest alongside its primary output so a run
-can be reproduced from its recorded inputs and seed. Exit codes: 2 for I/O
-problems, 3 for configuration problems (bad flags included), 4 for data
-validation failures.
+can be reproduced from its recorded inputs and seed; no command reads one.
+Exit codes: 2 for I/O problems, 3 for configuration problems (bad flags
+included), 4 for data validation failures.
 """
 from __future__ import annotations
 
@@ -119,7 +119,9 @@ def cmd_train(args) -> int:
     corpus = [frame(toks, frame_length, vocab, message_index=i)
               for i, toks in enumerate(token_lists, start=1)]
     model_config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                               epochs=config.epochs, seed=seed, **_model_dims(args))
+                               epochs=config.epochs, seed=seed,
+                               tokenization_filter=config.tokenization_filter,
+                               epsilon=config.epsilon, **_model_dims(args))
     model = train(corpus, model_config, vocab=vocab)
     persistence.save_model(model, args.out_model)
     manifest = _write_manifest(
@@ -140,42 +142,11 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _recorded_config(model_path: str | Path) -> dict:
-    """The config object of the training manifest next to the archive, {}
-    without one. A recorded epsilon must be an int, a filter a str."""
-    path = Path(f"{model_path}.manifest.json")
-    if not path.exists():
-        return {}
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: unreadable manifest: {exc}") from exc
-    if not isinstance(manifest, dict):
-        raise ConfigError(f"{path}: the manifest is not a JSON object")
-    config = manifest.get("config", {})
-    if not isinstance(config, dict):
-        raise ConfigError(f"{path}: 'config' is not a JSON object")
-    for key, kind in (("epsilon", int), ("tokenization_filter", str)):
-        if key in config and type(config[key]) is not kind:
-            raise ConfigError(f"{path}: config key {key!r} must be of type "
-                              f"{kind.__name__}, got {config[key]!r}")
-    return config
-
-
 def cmd_parse(args) -> int:
     started = time.time()
     model = persistence.load_model(args.model)
-    recorded = _recorded_config(args.model)
-    epsilon = args.epsilon
-    if epsilon is None:
-        epsilon = recorded.get("epsilon")
-        if epsilon is None:
-            epsilon = 50
-            log.warning("no --epsilon and no manifest next to %s; using %d",
-                        args.model, epsilon)
-    filter_pattern = args.filter or recorded.get("tokenization_filter",
-                                                 WHITESPACE_FILTER)
-    pattern = compile_filter(filter_pattern)
+    epsilon = model.config.epsilon if args.epsilon is None else args.epsilon
+    pattern = compile_filter(model.config.tokenization_filter)
     records = ingest.load_loghub_csv(args.data)
     # identical lines parse identically: tokenize, frame, score and format
     # each distinct content once, in first-appearance order
@@ -198,7 +169,8 @@ def cmd_parse(args) -> int:
                [(tid, template, counts[tid]) for tid, template in enumerate(templates)])
     _write_manifest(args.out, "parse", Path(args.data).stem,
                     {"data": str(args.data), "model": str(args.model),
-                     "epsilon": epsilon, "tokenization_filter": filter_pattern,
+                     "epsilon": epsilon,
+                     "tokenization_filter": model.config.tokenization_filter,
                      "lines": len(records), "distinct_lines": len(corpus),
                      "masked_samples": sum(n * len(seq.tokens)
                                            for n, seq in zip(repeats, corpus)),
@@ -376,14 +348,14 @@ def build_parser() -> _Parser:
     _add_model_dims(p_train)
     p_train.set_defaults(func=cmd_train)
 
-    p_parse = sub.add_parser("parse", help="extract templates with a trained model")
+    p_parse = sub.add_parser("parse", help="extract templates with a trained "
+                                           "model, tokenized by its filter")
     p_parse.add_argument("--data", required=True,
                          help="CSV with LineId and Content columns")
     p_parse.add_argument("--model", required=True, help="trained model archive")
     p_parse.add_argument("--epsilon", type=int,
-                         help="top-rank threshold (default: training manifest)")
-    p_parse.add_argument("--filter",
-                         help="tokenization filter override (default: manifest)")
+                         help="top-rank threshold (default: the one the "
+                              "archive records)")
     p_parse.add_argument("--out", required=True, help="parsed-message CSV path")
     p_parse.set_defaults(func=cmd_parse)
 

@@ -106,8 +106,8 @@ def load_loghub_csv(path: str | Path) -> list[LogRecord]:
 
     Content is the only required column. LineId, EventId, and EventTemplate
     populate the record when present; otherwise line ids are assigned from
-    the row position. A line id may appear once. A header-only file yields
-    an empty list.
+    the row position. A line id may appear once, and a row must have one
+    cell per header column. A header-only file yields an empty list.
     """
     records: list[LogRecord] = []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -116,6 +116,13 @@ def load_loghub_csv(path: str | Path) -> list[LogRecord]:
         if "Content" not in header:
             raise SchemaError(f"{path}: no Content column, found {header}")
         for position, row in enumerate(reader, start=1):
+            if None in row:
+                raise SchemaError(
+                    f"{path}: data row {position} has more cells than the header")
+            for column in header:
+                if row[column] is None:
+                    raise SchemaError(
+                        f"{path}: data row {position} has no {column} cell")
             raw_id = row.get("LineId")
             try:
                 line_id = int(raw_id) if raw_id not in (None, "") else position
@@ -123,8 +130,6 @@ def load_loghub_csv(path: str | Path) -> list[LogRecord]:
                 raise SchemaError(
                     f"{path}: LineId {raw_id!r} on data row {position} "
                     f"is not an integer") from None
-            if row["Content"] is None:
-                raise SchemaError(f"{path}: data row {position} has no Content cell")
             records.append(LogRecord(line_id=line_id, content=row["Content"],
                                      event_id=row.get("EventId"),
                                      template=row.get("EventTemplate")))

@@ -29,14 +29,16 @@ from . import masking, numerics
 from .errors import ShapeError, ValidationError
 from .masking import MaskedSample
 from .numerics import OptimizerState, Tensor
-from .tokenizer import TokenSequence, Vocabulary
+from .tokenizer import (WHITESPACE_FILTER, TokenSequence, Vocabulary,
+                        compile_filter)
 
 log = logging.getLogger(__name__)
 
 
 @dataclass
 class ModelConfig:
-    """Encoder dimensions and training knobs."""
+    """Encoder dimensions, training knobs, and how the model parses: the
+    tokenization filter its vocabulary was built with and epsilon."""
 
     vocab_size: int
     frame_length: int
@@ -48,10 +50,12 @@ class ModelConfig:
     batch_size: int = 32
     learning_rate: float = 1e-3
     seed: int = 7
+    tokenization_filter: str = WHITESPACE_FILTER
+    epsilon: int = 50
 
     def __post_init__(self) -> None:
         for name in ("vocab_size", "frame_length", "d", "heads", "ffn_hidden",
-                     "blocks", "batch_size"):
+                     "blocks", "batch_size", "epsilon"):
             if getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.epochs < 0:
@@ -59,6 +63,7 @@ class ModelConfig:
         if self.d % self.heads != 0:
             raise ValidationError(
                 f"embedding dimension {self.d} is not divisible by {self.heads} heads")
+        compile_filter(self.tokenization_filter)
 
     @property
     def head_width(self) -> int:

@@ -1,15 +1,16 @@
 """Single-file binary archives for trained models.
 
 Layout, all integers little-endian u32: magic "NULG" | format version |
-nine config scalars (d, heads, ffn_hidden, blocks, frame_length,
-vocab_size, epochs, batch_size, seed) | vocab count, then per token a byte
-length and UTF-8 bytes, in id order | tensor count, then per tensor a
-length-prefixed UTF-8 name, rows, cols, and row-major float32 values.
+ten config scalars (d, heads, ffn_hidden, blocks, frame_length,
+vocab_size, epochs, batch_size, seed, epsilon) | the tokenization filter
+as a byte length and UTF-8 bytes | vocab count, then per token a
+length-prefixed UTF-8 string, in id order | tensor count, then per tensor
+a length-prefixed UTF-8 name, rows, cols, and row-major float32 values.
 
-Format version 2 stores each block's attention projections as the three
-(d, d) tensors block{b}.wq, block{b}.wk and block{b}.wv. Version 1 stored
-one (d, w) tensor per head and kind; it is rejected like any other
-version, so a version-1 model has to be retrained.
+Format version 3 added epsilon and the filter, so an archive alone says
+how its model parses. Version 1 also stored one (d, w) attention tensor
+per head and kind, not block{b}.wq, .wk and .wv of shape (d, d). Other
+versions are rejected, so an older model has to be retrained.
 
 Floats are written as float32 regardless of platform so a round-trip is
 bitwise identical.
@@ -21,15 +22,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ArchiveError, ValidationError
+from .errors import ArchiveError, ConfigError, ValidationError
 from .model import Model, ModelConfig
 from .tokenizer import SPECIAL_TOKENS, Vocabulary
 
 MAGIC = b"NULG"
-VERSION = 2
+VERSION = 3
 
 _CONFIG_SCALARS = ("d", "heads", "ffn_hidden", "blocks", "frame_length",
-                   "vocab_size", "epochs", "batch_size", "seed")
+                   "vocab_size", "epochs", "batch_size", "seed", "epsilon")
+
+
+def _utf8(text: str) -> bytes:
+    """A length-prefixed UTF-8 string, as _Reader.utf8 reads it back."""
+    raw = text.encode("utf-8")
+    return struct.pack("<I", len(raw)) + raw
 
 
 def save_model(model: Model, path: str | Path) -> None:
@@ -46,21 +53,17 @@ def save_model(model: Model, path: str | Path) -> None:
         if not 0 <= value < 2 ** 32:
             raise ValidationError(f"config scalar {name}={value} exceeds u32 range")
         chunks.append(struct.pack("<I", value))
+    chunks.append(_utf8(model.config.tokenization_filter))
     tokens = model.vocab.tokens()
     chunks.append(struct.pack("<I", len(tokens)))
-    for token in tokens:
-        raw = token.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw)))
-        chunks.append(raw)
+    chunks.extend(_utf8(token) for token in tokens)
     names = list(model.params)
     chunks.append(struct.pack("<I", len(names)))
     for name in names:
         data = model.params[name].data
         if data.ndim != 2:
             raise ValidationError(f"tensor {name} is not rank 2: shape {data.shape}")
-        raw_name = name.encode("utf-8")
-        chunks.append(struct.pack("<I", len(raw_name)))
-        chunks.append(raw_name)
+        chunks.append(_utf8(name))
         chunks.append(struct.pack("<II", data.shape[0], data.shape[1]))
         chunks.append(np.ascontiguousarray(data, dtype="<f4").tobytes())
     Path(path).write_bytes(b"".join(chunks))
@@ -97,7 +100,9 @@ class _Reader:
 def load_model(path: str | Path) -> Model:
     """Rebuild a model from an archive; the result is bitwise faithful.
 
-    The returned model carries its vocabulary and config. The archived head
+    The returned model carries its vocabulary and config, the parse settings
+    included. A stored config that ModelConfig rejects, such as epsilon 0 or
+    a filter that does not compile, is an ArchiveError. The archived head
     width is taken from the stored head tensors, so both vocabulary heads
     and fine-tuned two-way heads reload cleanly.
     """
@@ -110,7 +115,11 @@ def load_model(path: str | Path) -> Model:
         raise ArchiveError(
             f"{path}: archive version {version} is not the supported {VERSION}")
     scalars = {name: reader.u32() for name in _CONFIG_SCALARS}
-    config = ModelConfig(**scalars)
+    tokenization_filter = reader.utf8()
+    try:
+        config = ModelConfig(**scalars, tokenization_filter=tokenization_filter)
+    except (ConfigError, ValidationError) as exc:
+        raise ArchiveError(f"{path}: {exc}") from exc
     vocab_count = reader.u32()
     if vocab_count != config.vocab_size:
         raise ValidationError(

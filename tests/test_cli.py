@@ -2,6 +2,7 @@
 import csv
 import json
 import shutil
+import struct
 from collections import Counter
 from pathlib import Path
 
@@ -41,6 +42,26 @@ def workspace(tmp_path_factory):
     assert code == 0
     return {"root": root, "data": data, "truth": truth, "config": config,
             "model": model, "messages": len(corpus.contents)}
+
+
+@pytest.fixture(scope="module")
+def keyed(tmp_path_factory):
+    """A model trained with a filter that splits key=value:pairs, and
+    epsilon 3, on lines that whitespace alone would not split."""
+    root = tmp_path_factory.mktemp("keyed")
+    data = root / "keyed.csv"
+    with open(data, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["LineId", "Content"])
+        writer.writerows((i, f"user={user}:id={i} ok") for i, user in enumerate(
+            ["alice", "bob", "carol", "dave"] * 6, start=1))
+    config = root / "keyed.conf"
+    config.write_text("name=keyed\ntokenization_filter=([ |:|=])\n"
+                      "epochs=2\nepsilon=3\n", encoding="utf-8")
+    model = root / "model.nulog"
+    assert main(["train", "--data", str(data), "--config", str(config),
+                 "--out-model", str(model), *TINY_DIMS]) == 0
+    return {"data": data, "model": model}
 
 
 class TestTrain:
@@ -137,8 +158,11 @@ class TestParse:
         out = workspace["root"] / "parsed_chain.csv"
         assert self.parse(workspace, out) == 0
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-        assert manifest["config"]["epsilon"] == 12
+        recorded = json.loads(
+            Path(f"{workspace['model']}.manifest.json").read_text())["config"]
+        assert manifest["config"]["epsilon"] == recorded["epsilon"] == 12
         assert manifest["config"]["tokenization_filter"] == "([ ])"
+        assert load_model(workspace["model"]).config.epsilon == 12
 
     def test_epsilon_flag_overrides_manifest(self, workspace):
         out = workspace["root"] / "parsed_eps3.csv"
@@ -146,29 +170,52 @@ class TestParse:
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["config"]["epsilon"] == 3
 
-    @pytest.mark.parametrize("manifest, key", [
-        ("[1, 2]", "not a JSON object"),
-        ('{"config": "x"}', "'config' is not a JSON object"),
-        ('{"config": {"epsilon": "12"}}', "'epsilon' must be of type int"),
-        ('{"config": {"epsilon": 12.0}}', "'epsilon' must be of type int"),
-        ('{"config": {"epsilon": true}}', "'epsilon' must be of type int"),
-        ('{"config": {"tokenization_filter": 5}}',
-         "'tokenization_filter' must be of type str"),
-    ])
-    def test_malformed_training_manifest_is_config_error(self, workspace, tmp_path,
-                                                         capsys, manifest, key):
-        model = tmp_path / "model.nulog"
-        shutil.copyfile(workspace["model"], model)
-        Path(f"{model}.manifest.json").write_text(manifest, encoding="utf-8")
+    @pytest.mark.parametrize("manifest", [None, "{not json"],
+                             ids=["no-manifest", "garbage-manifest"])
+    def test_archive_alone_parses_as_with_its_manifest(self, keyed, tmp_path,
+                                                       manifest):
+        # parse settings travel in the archive; a manifest next to it,
+        # absent or unreadable, changes nothing
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        model = alone / "model.nulog"
+        shutil.copyfile(keyed["model"], model)
+        if manifest is not None:
+            Path(f"{model}.manifest.json").write_text(manifest, encoding="utf-8")
+        with_manifest, without = tmp_path / "with.csv", tmp_path / "without.csv"
+        for archive, out in ((keyed["model"], with_manifest), (model, without)):
+            assert main(["parse", "--data", str(keyed["data"]),
+                         "--model", str(archive), "--out", str(out)]) == 0
+        assert without.read_bytes() == with_manifest.read_bytes()
+        assert (without.with_suffix(".templates.csv").read_bytes()
+                == with_manifest.with_suffix(".templates.csv").read_bytes())
+        config = json.loads(Path(f"{without}.manifest.json").read_text())["config"]
+        assert (config["tokenization_filter"], config["epsilon"]) == ("([ |:|=])", 3)
+
+    @pytest.mark.parametrize("field", ["filter", "epsilon"])
+    def test_archive_with_a_bad_parse_setting_is_validation_error(
+            self, workspace, tmp_path, capsys, field):
+        blob = workspace["model"].read_bytes()
+        at = 4 + 4 + 9 * 4  # epsilon, then the filter's length and bytes
+        if field == "epsilon":
+            blob = blob[:at] + struct.pack("<I", 0) + blob[at + 4:]
+        else:
+            at += 8
+            assert blob[at:at + 5] == b"([ ])"
+            blob = blob[:at] + b"([ ](" + blob[at + 5:]
+        model = tmp_path / "patched.nulog"
+        model.write_bytes(blob)
         out = tmp_path / "parsed.csv"
-        # the data file is absent: the manifest is checked before it is read
-        code = main(["parse", "--data", str(tmp_path / "absent.csv"),
-                     "--model", str(model), "--out", str(out)])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert f"{model}.manifest.json" in err and key in err
+        assert main(["parse", "--data", str(workspace["data"]), "--model", str(model),
+                     "--out", str(out)]) == 4
+        assert str(model) in capsys.readouterr().err
         assert not out.exists()
-        assert not Path(f"{out}.manifest.json").exists()
+
+    def test_filter_flag_is_a_usage_error(self, workspace, tmp_path, capsys):
+        out = tmp_path / "parsed.csv"
+        assert self.parse(workspace, out, extra=["--filter", "([ ])"]) == 3
+        assert "unrecognized arguments: --filter" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_output(self, workspace, tmp_path):
         first = tmp_path / "p1.csv"
@@ -534,6 +581,36 @@ class TestExitCodes:
         assert main(argv) == 4
         assert "data row 2 has no Content cell" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("row, expected", [
+        ("2,alpha beta, gamma delta,e2,alpha <*>",
+         "data row 2 has more cells than the header"),
+        ("2,alpha beta,e2", "data row 2 has no EventTemplate cell"),
+    ], ids=["long", "short"])
+    @pytest.mark.parametrize("command", ["train", "parse", "eval"])
+    def test_row_that_does_not_fit_the_header_is_schema_error(
+            self, workspace, tmp_path, capsys, command, row, expected):
+        # the long row used to lose " gamma delta", and the short one made
+        # eval report an empty edit distance
+        data = tmp_path / "rows.csv"
+        data.write_text("LineId,Content,EventId,EventTemplate\n"
+                        f"1,alpha beta,e1,alpha beta\n{row}\n", encoding="utf-8")
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--data", str(data), "--out-model", str(out), *TINY_DIMS]
+        elif command == "parse":
+            argv = ["parse", "--data", str(data), "--model", str(workspace["model"]),
+                    "--out", str(out)]
+        else:
+            parsed = tmp_path / "parsed.csv"
+            parsed.write_text("line_id,template_id,template,variables\n"
+                              "1,0,alpha beta,[]\n2,0,alpha beta,[]\n",
+                              encoding="utf-8")
+            argv = ["eval", "--parsed", str(parsed), "--truth", str(data),
+                    "--out", str(out)]
+        assert main(argv) == 4
+        assert f"{data}: {expected}" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
 
     @pytest.mark.parametrize("seed", ["-1", "4294967296"])
     @pytest.mark.parametrize("source", ["flag", "env"])

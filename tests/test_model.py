@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nulog import masking, numerics
-from nulog.errors import ShapeError, ValidationError
+from nulog.errors import ConfigError, ShapeError, ValidationError
 from nulog.model import Model, ModelConfig, positional_encoding, train
 from nulog.numerics import Tensor, cross_entropy, finite_difference_check
 from nulog.tokenizer import (CLS_ID, build_vocabulary, compute_frame_length,
@@ -55,6 +55,12 @@ class TestModelConfig:
             tiny_config(d=0)
         with pytest.raises(ValidationError):
             tiny_config(vocab_size=-1)
+        with pytest.raises(ValidationError, match="epsilon"):
+            tiny_config(epsilon=0)
+
+    def test_filter_must_compile(self):
+        with pytest.raises(ConfigError, match="tokenization filter"):
+            tiny_config(tokenization_filter="([ ]")
 
     def test_head_width(self):
         assert tiny_config(d=8, heads=2).head_width == 4
@@ -64,6 +70,7 @@ class TestModelConfig:
         assert (config.d, config.heads, config.ffn_hidden, config.blocks) == \
             (256, 4, 512, 1)
         assert (config.epochs, config.batch_size, config.seed) == (5, 32, 7)
+        assert (config.tokenization_filter, config.epsilon) == (WHITESPACE_FILTER, 50)
 
 
 class TestPositionalEncoding:

@@ -1,5 +1,6 @@
 """Tests for the binary model archive: round-trips, corruption handling,
 and the exact byte layout."""
+import dataclasses
 import re
 import struct
 from pathlib import Path
@@ -39,7 +40,8 @@ def trained():
 def expected_file_size(model: Model) -> int:
     """Independent tally of the archive layout, field by field."""
     size = 4 + 4  # magic, version
-    size += 9 * 4  # config scalars
+    size += 10 * 4  # config scalars, epsilon last
+    size += 4 + len(model.config.tokenization_filter.encode("utf-8"))
     size += 4  # vocab count
     for token in model.vocab.tokens():
         size += 4 + len(token.encode("utf-8"))
@@ -130,13 +132,75 @@ class TestLayout:
         path = tmp_path / "model.nulog"
         save_model(model, path)
         blob = path.read_bytes()
-        offset = 4 + 4 + 9 * 4
+        offset = 4 + 4 + 10 * 4
+        offset += 4 + struct.unpack_from("<I", blob, offset)[0]  # the filter
         count = struct.unpack_from("<I", blob, offset)[0]
         assert count == len(model.vocab)
         offset += 4
         first_len = struct.unpack_from("<I", blob, offset)[0]
         first = blob[offset + 4:offset + 4 + first_len].decode("utf-8")
         assert first == "<CLS>"
+
+
+    def test_epsilon_then_filter_follow_the_nine_scalars(self, trained, tmp_path):
+        model, _ = trained
+        path = tmp_path / "model.nulog"
+        save_model(model, path)
+        blob = path.read_bytes()
+        epsilon, length = struct.unpack_from("<II", blob, 4 + 4 + 9 * 4)
+        assert epsilon == model.config.epsilon == 50
+        start = 4 + 4 + 10 * 4 + 4
+        assert blob[start:start + length].decode("utf-8") == r"([ ])"
+
+
+class TestParseSettings:
+    @pytest.mark.parametrize("epsilon", [1, 2 ** 32 - 1])
+    def test_filter_and_epsilon_round_trip_byte_for_byte(self, trained, tmp_path,
+                                                        epsilon):
+        model, _ = trained
+        config = dataclasses.replace(
+            model.config, tokenization_filter=r"([ |:|=|\(|\)])|(µs)", epsilon=epsilon)
+        changed = Model(config, vocab=model.vocab,
+                        params={name: t.data for name, t in model.params.items()})
+        first, second = tmp_path / "a.nulog", tmp_path / "b.nulog"
+        save_model(changed, first)
+        loaded = load_model(first)
+        assert loaded.config == changed.config
+        save_model(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+
+    @pytest.mark.parametrize("keep", [1, 4])
+    def test_archive_cut_inside_the_filter_is_truncated(self, trained, tmp_path,
+                                                        keep):
+        model, _ = trained
+        path = tmp_path / "model.nulog"
+        save_model(model, path)
+        bad = tmp_path / "bad.nulog"
+        bad.write_bytes(path.read_bytes()[:4 + 4 + 10 * 4 + 4 + keep])
+        with pytest.raises(ArchiveError, match="truncated"):
+            load_model(bad)
+
+    def test_filter_that_does_not_compile_is_an_archive_error(self, trained,
+                                                              tmp_path):
+        model, _ = trained
+        path = tmp_path / "model.nulog"
+        save_model(model, path)
+        blob = path.read_bytes()
+        start = 4 + 4 + 10 * 4 + 4
+        assert blob[start:start + 5] == b"([ ])"
+        path.write_bytes(blob[:start] + b"([ ](" + blob[start + 5:])
+        with pytest.raises(ArchiveError, match="tokenization filter"):
+            load_model(path)
+
+    def test_epsilon_zero_is_rejected(self, trained, tmp_path):
+        model, _ = trained
+        path = tmp_path / "model.nulog"
+        save_model(model, path)
+        blob = path.read_bytes()
+        at = 4 + 4 + 9 * 4
+        path.write_bytes(blob[:at] + struct.pack("<I", 0) + blob[at + 4:])
+        with pytest.raises(ArchiveError, match="epsilon must be positive"):
+            load_model(path)
 
 
 class TestSaveValidation:
