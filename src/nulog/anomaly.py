@@ -33,20 +33,20 @@ DELTA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 class AnomalyConfig:
     """Study parameters: surprise threshold, split, and training lengths."""
 
-    epsilon: int = 50
+    epsilon: int = ModelConfig.epsilon
     delta: float = 0.5
     train_fraction: float = 0.8
     epochs_unsupervised: int = 3
     epochs_finetune: int = 2
-    seed: int = 7
+    seed: int = ModelConfig.seed
     tokenization_filter: str = DEFAULT_FILTER
     normal_only: bool = False
-    d: int = 256
-    heads: int = 4
-    ffn_hidden: int = 512
-    blocks: int = 1
-    batch_size: int = 32
-    learning_rate: float = 1e-3
+    d: int = ModelConfig.d
+    heads: int = ModelConfig.heads
+    ffn_hidden: int = ModelConfig.ffn_hidden
+    blocks: int = ModelConfig.blocks
+    batch_size: int = ModelConfig.batch_size
+    learning_rate: float = ModelConfig.learning_rate
 
     def __post_init__(self) -> None:
         if self.epsilon <= 0:

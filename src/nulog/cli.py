@@ -29,16 +29,15 @@ EXIT_IO = 2
 EXIT_CONFIG = 3
 EXIT_VALIDATION = 4
 
-DEFAULT_SEED = 7
-
-# the encoder flags every training command takes: name -> (default, help);
-# each name is a ModelConfig and an AnomalyConfig field and a manifest key
+# the encoder flags every training command takes: name -> help; each name
+# is a ModelConfig and an AnomalyConfig field and a manifest key, and its
+# default is ModelConfig's
 MODEL_DIMS = {
-    "d": (256, "embedding width"),
-    "heads": (4, "attention heads"),
-    "ffn_hidden": (512, "feed-forward hidden width"),
-    "blocks": (1, "encoder blocks"),
-    "batch_size": (32, "training batch size"),
+    "d": "embedding width",
+    "heads": "attention heads",
+    "ffn_hidden": "feed-forward hidden width",
+    "blocks": "encoder blocks",
+    "batch_size": "training batch size",
 }
 
 
@@ -52,12 +51,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _resolve_seed(value: int | None) -> int:
-    """Explicit flag, then the NULOG_SEED environment variable, then 7.
+    """Explicit flag, then the NULOG_SEED environment variable, then
+    ModelConfig's seed.
 
     The seed must fit the archive's u32 seed field, [0, 2**32).
     """
     if value is None:
-        env = os.environ.get("NULOG_SEED", str(DEFAULT_SEED))
+        env = os.environ.get("NULOG_SEED", str(ModelConfig.seed))
         try:
             value = int(env)
         except ValueError:
@@ -182,39 +182,13 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def _read_table(path: str | Path, required: tuple[str, ...]) -> list[dict]:
-    """The rows of a CSV with the required columns; every row must have a
-    cell in each of them."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise ingest.SchemaError(f"{path}: missing columns {missing}")
-        rows = list(reader)
-    for position, row in enumerate(rows, start=1):
-        for column in required:
-            if row[column] is None:
-                raise ingest.SchemaError(
-                    f"{path}: data row {position} has no {column} cell")
-    return rows
-
-
-def _parsed_line_id(row: dict, path) -> int:
-    try:
-        return int(row["line_id"])
-    except ValueError:
-        raise ingest.SchemaError(
-            f"{path}: non-integer line_id {row['line_id']!r}") from None
-
-
 def _evaluate_pair(parsed_path, truth_path, pattern) -> tuple[float, float | None]:
-    parsed = _read_table(parsed_path, ("line_id", "template_id", "template"))
+    parsed = ingest.read_table(parsed_path, ("line_id", "template_id", "template"))
     truth = ingest.load_loghub_csv(truth_path)
     if any(r.event_id is None for r in truth):
         raise ingest.SchemaError(f"{truth_path}: EventId column required")
-    line_ids = [_parsed_line_id(row, parsed_path) for row in parsed]
-    ingest.reject_repeats(line_ids, parsed_path, "line_id")
+    line_ids = ingest.line_ids((row["line_id"] for row in parsed), parsed_path,
+                               "line_id")
     predicted_groups = {i: row["template_id"] for i, row in zip(line_ids, parsed)}
     truth_groups = {r.line_id: r.event_id for r in truth}
     pa = evaluation.parsing_accuracy(predicted_groups, truth_groups)
@@ -228,42 +202,42 @@ def _evaluate_pair(parsed_path, truth_path, pattern) -> tuple[float, float | Non
 
 
 def cmd_eval(args) -> int:
+    """Score a batch of jobs; --parsed/--truth is a batch of one job with
+    no config."""
     started = time.time()
     pattern = WHITESPACE_FILTER
     if args.config:
         pattern = ingest.load_config(args.config).tokenization_filter
-    outputs = [args.out]
     if args.batch:
-        jobs = _read_table(args.batch, ("dataset", "parsed", "truth"))
+        jobs = ingest.read_table(args.batch, ("dataset", "parsed", "truth"),
+                                 optional=("config",))
         if not jobs:
             raise ValidationError(f"{args.batch}: no evaluation jobs")
-        rows = []
-        accuracies = []
-        for job in jobs:
-            job_pattern = pattern
-            if job.get("config"):
-                job_pattern = ingest.load_config(job["config"]).tokenization_filter
-            pa, distance = _evaluate_pair(job["parsed"], job["truth"], job_pattern)
-            accuracies.append(pa)
-            rows.append((job["dataset"], f"{pa:.6f}",
-                         "" if distance is None else f"{distance:.6f}"))
-        _write_csv(args.out, ["dataset", "parsing_accuracy", "mean_edit_distance"],
-                   rows)
+        dataset_label = f"batch of {len(jobs)}"
+    elif args.parsed and args.truth:
+        dataset_label = args.dataset or Path(args.truth).stem
+        jobs = [{"dataset": dataset_label, "parsed": args.parsed, "truth": args.truth}]
+    else:
+        raise ConfigError("eval needs --parsed and --truth (or --batch)")
+    rows = []
+    accuracies = []
+    for job in jobs:
+        job_pattern = pattern
+        if job.get("config"):
+            job_pattern = ingest.load_config(job["config"]).tokenization_filter
+        pa, distance = _evaluate_pair(job["parsed"], job["truth"], job_pattern)
+        accuracies.append(pa)
+        rows.append((job["dataset"], f"{pa:.6f}",
+                     "" if distance is None else f"{distance:.6f}"))
+    _write_csv(args.out, ["dataset", "parsing_accuracy", "mean_edit_distance"], rows)
+    outputs = [args.out]
+    if args.batch:
         summary = evaluation.robustness_summary(accuracies)
         robustness_path = Path(args.out).with_suffix(".robustness.csv")
         _write_csv(robustness_path, ["min", "q1", "median", "q3", "max"],
                    [tuple(f"{summary[k]:.6f}"
                           for k in ("min", "q1", "median", "q3", "max"))])
         outputs.append(robustness_path)
-        dataset_label = f"batch of {len(jobs)}"
-    else:
-        if not args.parsed or not args.truth:
-            raise ConfigError("eval needs --parsed and --truth (or --batch)")
-        pa, distance = _evaluate_pair(args.parsed, args.truth, pattern)
-        dataset_label = args.dataset or Path(args.truth).stem
-        _write_csv(args.out, ["dataset", "parsing_accuracy", "mean_edit_distance"],
-                   [(dataset_label, f"{pa:.6f}",
-                     "" if distance is None else f"{distance:.6f}")])
     _write_manifest(args.out, "eval", dataset_label,
                     {"parsed": args.parsed, "truth": args.truth,
                      "batch": args.batch, "tokenization_filter": pattern},
@@ -273,6 +247,8 @@ def cmd_eval(args) -> int:
 
 def cmd_detect(args) -> int:
     started = time.time()
+    if args.sweep and args.mode != "unsupervised":
+        raise ConfigError("--sweep applies to unsupervised mode only")
     seed = _resolve_seed(args.seed)
     records = ingest.load_labeled_bgl(args.data, fraction=args.fraction)
     config = anomaly.AnomalyConfig(
@@ -296,7 +272,7 @@ def cmd_detect(args) -> int:
                  metrics.true_positives, metrics.false_positives,
                  metrics.true_negatives, metrics.false_negatives)])
     outputs = [args.out, metrics_path]
-    if args.sweep and args.mode == "unsupervised":
+    if args.sweep:
         sweep_path = Path(args.out).with_suffix(".sweep.csv")
         sweep_rows = [(f"{delta:.1f}", f"{m.accuracy:.6f}", f"{m.precision:.6f}",
                        f"{m.recall:.6f}", f"{m.f1:.6f}")
@@ -321,7 +297,8 @@ def cmd_detect(args) -> int:
 
 
 def _add_model_dims(parser: argparse.ArgumentParser) -> None:
-    for name, (default, text) in MODEL_DIMS.items():
+    for name, text in MODEL_DIMS.items():
+        default = getattr(ModelConfig, name)
         parser.add_argument(f"--{name.replace('_', '-')}", type=int, default=default,
                             help=f"{text} (default {default})")
 
@@ -344,7 +321,7 @@ def build_parser() -> _Parser:
     p_train.add_argument("--out-model", required=True,
                          help="output archive path")
     p_train.add_argument("--seed", type=int,
-                         help="RNG seed (default: NULOG_SEED or 7)")
+                         help=f"RNG seed (default: NULOG_SEED or {ModelConfig.seed})")
     _add_model_dims(p_train)
     p_train.set_defaults(func=cmd_train)
 
@@ -376,10 +353,11 @@ def build_parser() -> _Parser:
                           help="raw log with a leading alert field per line")
     p_detect.add_argument("--mode", required=True,
                           choices=["unsupervised", "supervised"])
-    p_detect.add_argument("--epsilon", type=int, default=50,
-                          help="top-rank threshold (default 50)")
-    p_detect.add_argument("--delta", type=float, default=0.5,
-                          help="surprising-token fraction threshold (default 0.5)")
+    p_detect.add_argument("--epsilon", type=int, default=ModelConfig.epsilon,
+                          help=f"top-rank threshold (default {ModelConfig.epsilon})")
+    p_detect.add_argument("--delta", type=float, default=anomaly.AnomalyConfig.delta,
+                          help="surprising-token fraction threshold "
+                               f"(default {anomaly.AnomalyConfig.delta})")
     p_detect.add_argument("--fraction", type=float, default=1.0,
                           help="leading fraction of the file to use (default 1.0)")
     p_detect.add_argument("--filter",
@@ -389,7 +367,7 @@ def build_parser() -> _Parser:
     p_detect.add_argument("--sweep", action="store_true",
                           help="also report metrics over a grid of deltas")
     p_detect.add_argument("--seed", type=int,
-                          help="RNG seed (default: NULOG_SEED or 7)")
+                          help=f"RNG seed (default: NULOG_SEED or {ModelConfig.seed})")
     p_detect.add_argument("--out", required=True, help="verdict CSV path")
     _add_model_dims(p_detect)
     p_detect.set_defaults(func=cmd_detect)

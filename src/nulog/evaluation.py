@@ -70,7 +70,7 @@ def normalize_template(template: str, pattern=WHITESPACE_FILTER) -> str:
     string is re-split with the dataset filter and joined on single spaces,
     so spacing and separator conventions stop mattering.
     """
-    compiled = compile_filter(pattern) if isinstance(pattern, str) else pattern
+    compiled = compile_filter(pattern)
     replaced = template.replace("<*>", PLACEHOLDER)
     return " ".join(tokenize(replaced, compiled))
 
@@ -83,7 +83,7 @@ def mean_template_edit_distance(predicted: Sequence[str], truth: Sequence[str],
             f"got {len(predicted)} predictions for {len(truth)} truth templates")
     if not predicted:
         raise ValidationError("cannot score an empty template list")
-    compiled = compile_filter(pattern) if isinstance(pattern, str) else pattern
+    compiled = compile_filter(pattern)
     cache: dict[tuple[str, str], int] = {}
     total = 0
     for p, t in zip(predicted, truth):

@@ -92,49 +92,63 @@ def load_config(path: str | Path) -> DatasetConfig:
         raise ConfigError(f"{path}: {exc}") from exc
 
 
-def reject_repeats(ids, path, column: str) -> None:
-    """A repeated line id would silently overwrite the line it repeats."""
+def read_table(path: str | Path, required: tuple[str, ...],
+               optional: tuple[str, ...] = ()) -> list[dict]:
+    """The rows of a CSV whose header names every required column.
+
+    A row must have one cell per header column, no more and no fewer; only
+    a column listed in optional may be left off a row, and then reads as
+    None.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        header = reader.fieldnames or []
+        missing = [c for c in required if c not in header]
+        if missing:
+            raise SchemaError(f"{path}: missing columns {missing}, found {header}")
+        rows = list(reader)
+    for position, row in enumerate(rows, start=1):
+        if None in row:
+            raise SchemaError(
+                f"{path}: data row {position} has more cells than the header")
+        for column in header:
+            if row[column] is None and column not in optional:
+                raise SchemaError(
+                    f"{path}: data row {position} has no {column} cell")
+    return rows
+
+
+def line_ids(cells, path, column: str) -> list[int]:
+    """The integer line id of each data row, in order. An id may appear
+    once: a repeat would silently overwrite the line it repeats."""
+    ids: list[int] = []
+    for position, raw in enumerate(cells, start=1):
+        try:
+            ids.append(int(raw))
+        except ValueError:
+            raise SchemaError(f"{path}: {column} {raw!r} on data row {position} "
+                              f"is not an integer") from None
     seen = set()
     for line_id in ids:
         if line_id in seen:
             raise SchemaError(f"{path}: {column} {line_id} appears more than once")
         seen.add(line_id)
+    return ids
 
 
 def load_loghub_csv(path: str | Path) -> list[LogRecord]:
-    """Read a benchmark CSV in file order.
+    """Read a benchmark CSV in file order, as read_table reads it.
 
     Content is the only required column. LineId, EventId, and EventTemplate
-    populate the record when present; otherwise line ids are assigned from
-    the row position. A line id may appear once, and a row must have one
-    cell per header column. A header-only file yields an empty list.
+    populate the record when present; a missing or empty LineId is the row
+    position. A header-only file yields an empty list.
     """
-    records: list[LogRecord] = []
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames or []
-        if "Content" not in header:
-            raise SchemaError(f"{path}: no Content column, found {header}")
-        for position, row in enumerate(reader, start=1):
-            if None in row:
-                raise SchemaError(
-                    f"{path}: data row {position} has more cells than the header")
-            for column in header:
-                if row[column] is None:
-                    raise SchemaError(
-                        f"{path}: data row {position} has no {column} cell")
-            raw_id = row.get("LineId")
-            try:
-                line_id = int(raw_id) if raw_id not in (None, "") else position
-            except ValueError:
-                raise SchemaError(
-                    f"{path}: LineId {raw_id!r} on data row {position} "
-                    f"is not an integer") from None
-            records.append(LogRecord(line_id=line_id, content=row["Content"],
-                                     event_id=row.get("EventId"),
-                                     template=row.get("EventTemplate")))
-    reject_repeats((r.line_id for r in records), path, "LineId")
-    return records
+    rows = read_table(path, ("Content",))
+    ids = line_ids((row.get("LineId") or position
+                    for position, row in enumerate(rows, start=1)), path, "LineId")
+    return [LogRecord(line_id=i, content=row["Content"], event_id=row.get("EventId"),
+                      template=row.get("EventTemplate"))
+            for i, row in zip(ids, rows)]
 
 
 def load_labeled_bgl(path: str | Path, fraction: float = 1.0) -> list[LogRecord]:

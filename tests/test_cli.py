@@ -393,23 +393,48 @@ class TestEval:
         column = "line_id" if repeated == "parsed" else "LineId"
         assert f"{column} 1 appears more than once" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("short", ["parsed", "batch"])
-    def test_short_row_is_schema_error(self, tmp_path, capsys, short):
+    @pytest.mark.parametrize("table, body, expected", [
+        ("parsed", "line_id,template_id,template\n1,0,a b c\n2\n3,1,a x c\n",
+         "data row 2 has no template_id cell"),
+        ("batch", "dataset,parsed,truth\nx,p.csv\n", "data row 1 has no truth cell"),
+        # both long rows used to pass, exit 0: the parsed one scored as
+        # template "stop", the job with its fourth cell dropped
+        ("parsed", "line_id,template_id,template,variables\n1,0,boot ⟨*⟩,[]\n"
+                   "2,1,stop, now,[]\n3,1,stop now,[]\n",
+         "data row 2 has more cells than the header"),
+        ("batch", "dataset,parsed,truth\none,{parsed},{truth},extra\n",
+         "data row 1 has more cells than the header"),
+    ], ids=["parsed", "batch", "parsed-long", "batch-long"])
+    def test_short_row_is_schema_error(self, tmp_path, capsys, table, body, expected):
+        # a row must fit its header: too few cells or too many
         parsed, truth = write_eval_fixture(tmp_path)
         out = tmp_path / "report.csv"
-        if short == "parsed":
-            parsed.write_text("line_id,template_id,template\n1,0,a b c\n2\n3,1,a x c\n",
-                              encoding="utf-8")
+        if table == "parsed":
+            parsed.write_text(body, encoding="utf-8")
             argv = ["eval", "--parsed", str(parsed), "--truth", str(truth)]
-            expected = f"{parsed}: data row 2 has no template_id cell"
+            expected = f"{parsed}: {expected}"
         else:
             jobs = tmp_path / "jobs.csv"
-            jobs.write_text("dataset,parsed,truth\nx,p.csv\n", encoding="utf-8")
+            jobs.write_text(body.format(parsed=parsed, truth=truth), encoding="utf-8")
             argv = ["eval", "--batch", str(jobs)]
-            expected = f"{jobs}: data row 1 has no truth cell"
+            expected = f"{jobs}: {expected}"
         assert main([*argv, "--out", str(out)]) == 4
         assert expected in capsys.readouterr().err
         assert not out.exists()
+
+    def test_pair_is_a_batch_of_one(self, tmp_path):
+        parsed, truth = write_eval_fixture(tmp_path)
+        jobs = tmp_path / "jobs.csv"
+        jobs.write_text(f"dataset,parsed,truth\ndemo,{parsed},{truth}\n",
+                        encoding="utf-8")
+        pair, batch = tmp_path / "pair.csv", tmp_path / "batch.csv"
+        assert main(["eval", "--parsed", str(parsed), "--truth", str(truth),
+                     "--dataset", "demo", "--out", str(pair)]) == 0
+        assert main(["eval", "--batch", str(jobs), "--out", str(batch)]) == 0
+        assert pair.read_bytes() == batch.read_bytes()
+        # only a batch summarizes the spread
+        assert not pair.with_suffix(".robustness.csv").exists()
+        assert batch.with_suffix(".robustness.csv").exists()
 
     def test_batch_job_may_leave_config_out(self, tmp_path):
         parsed, truth = write_eval_fixture(tmp_path)
@@ -501,13 +526,20 @@ class TestDetect:
         write_alert_log(data)
         out = tmp_path / "verdicts.csv"
         code = main(["detect", "--data", str(data), "--mode", "supervised",
-                     "--filter", "([ ])", "--out", str(out), *TINY_DIMS,
-                     "--sweep"])
+                     "--filter", "([ ])", "--out", str(out), *TINY_DIMS])
         assert code == 0
         assert len(read_csv(out)) == 10
         assert Path(out).with_suffix(".metrics.csv").exists()
-        # the delta sweep only applies to threshold verdicts
-        assert not Path(out).with_suffix(".sweep.csv").exists()
+
+    def test_supervised_sweep_is_config_error(self, tmp_path, capsys):
+        # the delta sweep only applies to threshold verdicts; the flag is
+        # refused before the (absent) data is opened
+        code = main(["detect", "--data", str(tmp_path / "absent.log"),
+                     "--mode", "supervised", "--sweep",
+                     "--out", str(tmp_path / "verdicts.csv")])
+        assert code == 3
+        assert "--sweep applies to unsupervised mode only" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_fraction_limits_the_study(self, tmp_path):
         data = tmp_path / "alerts.log"

@@ -3,7 +3,8 @@ import pytest
 
 from nulog.errors import ConfigError, SchemaError, ValidationError
 from nulog.ingest import (ANOMALY, NORMAL, DatasetConfig, LogRecord,
-                          load_config, load_labeled_bgl, load_loghub_csv)
+                          load_config, load_labeled_bgl, load_loghub_csv,
+                          read_table)
 
 ALERT_FILTER = r"([ |:|\(|\)|=|,])|(core.)|(\.{2,})"
 
@@ -121,6 +122,37 @@ class TestLoadConfig:
         for name in names:
             config = load_config(config_dir / f"{name}.conf")
             assert config.name.lower() == name
+
+
+class TestReadTable:
+    def write(self, tmp_path, text):
+        path = tmp_path / "table.csv"
+        path.write_text(text, encoding="utf-8")
+        return path
+
+    def test_missing_required_column(self, tmp_path):
+        path = self.write(tmp_path, "a,b\n1,2\n")
+        with pytest.raises(SchemaError, match=r"missing columns \['c'\]"):
+            read_table(path, ("a", "c"))
+
+    @pytest.mark.parametrize("row, expected", [
+        ("1,2,3,4", "data row 2 has more cells than the header"),
+        ("1,2", "data row 2 has no c cell"),
+    ], ids=["long", "short"])
+    def test_row_must_fit_the_header(self, tmp_path, row, expected):
+        path = self.write(tmp_path, f"a,b,c\n1,2,3\n{row}\n")
+        with pytest.raises(SchemaError, match=expected):
+            read_table(path, ("a",))
+
+    def test_optional_column_may_be_left_off(self, tmp_path):
+        path = self.write(tmp_path, "a,b,c\n1,2\n1,2,3\n")
+        rows = read_table(path, ("a", "b"), optional=("c",))
+        assert [row["c"] for row in rows] == [None, "3"]
+
+    def test_optional_column_does_not_excuse_a_long_row(self, tmp_path):
+        path = self.write(tmp_path, "a,b,c\n1,2,3,4\n")
+        with pytest.raises(SchemaError, match="data row 1 has more cells"):
+            read_table(path, ("a", "b"), optional=("c",))
 
 
 class TestLoadLoghubCsv:
