@@ -184,20 +184,19 @@ def cmd_parse(args) -> int:
 
 def _evaluate_pair(parsed_path, truth_path, pattern) -> tuple[float, float | None]:
     parsed = ingest.read_table(parsed_path, ("line_id", "template_id", "template"))
-    truth = ingest.load_loghub_csv(truth_path)
-    if any(r.event_id is None for r in truth):
-        raise ingest.SchemaError(f"{truth_path}: EventId column required")
+    truth = ingest.read_table(truth_path, ("LineId", "EventId"))
     line_ids = ingest.line_ids((row["line_id"] for row in parsed), parsed_path,
                                "line_id")
+    truth_ids = ingest.line_ids((row["LineId"] for row in truth), truth_path, "LineId")
     predicted_groups = {i: row["template_id"] for i, row in zip(line_ids, parsed)}
-    truth_groups = {r.line_id: r.event_id for r in truth}
+    truth_groups = {i: row["EventId"] for i, row in zip(truth_ids, truth)}
     pa = evaluation.parsing_accuracy(predicted_groups, truth_groups)
     distance = None
-    if all(r.template is not None for r in truth):
+    if "EventTemplate" in truth[0]:
         by_line = {i: row["template"] for i, row in zip(line_ids, parsed)}
-        pairs = [(by_line[r.line_id], r.template) for r in truth]
         distance = evaluation.mean_template_edit_distance(
-            [p for p, _ in pairs], [t for _, t in pairs], pattern)
+            [by_line[i] for i in truth_ids], [row["EventTemplate"] for row in truth],
+            pattern)
     return pa, distance
 
 
@@ -205,6 +204,9 @@ def cmd_eval(args) -> int:
     """Score a batch of jobs; --parsed/--truth is a batch of one job with
     no config."""
     started = time.time()
+    if args.batch and (args.parsed or args.truth or args.dataset):
+        raise ConfigError("--batch takes its parsed, truth and dataset from the "
+                          "jobs file; drop --parsed, --truth and --dataset")
     pattern = WHITESPACE_FILTER
     if args.config:
         pattern = ingest.load_config(args.config).tokenization_filter

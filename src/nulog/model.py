@@ -257,7 +257,8 @@ def train_epoch(model: Model, opt: OptimizerState, ids: np.ndarray,
         batch = ids[start:start + size]
         loss = numerics.cross_entropy(model.forward_logits(batch),
                                       targets[start:start + size])
-        loss.backward()
+        # each parameter's Adam update starts once its gradient is final
+        loss.backward(on_final=opt.start_update)
         numerics.optimizer_step(model.params, opt)
         total += float(loss.data) * len(batch)
     return total / len(ids)

@@ -26,10 +26,28 @@ and a fresh contribution costs no extra pass over memory.
 Adam (OptimizerState, optimizer_step) and finite_difference_check take the
 trainable tensors as a plain dict from name to Tensor and visit them in the
 dict's order.
+
+Who runs Adam, and when: Adam is elementwise, so a parameter can be updated
+as soon as its gradient is final. backward(on_final=state.start_update)
+calls the hook for each tracked leaf once the vjp of its last consumer has
+run; every reader of the leaf's data, views of it included, is a
+descendant of that consumer and has run before it. start_update queues the
+update as two tasks, one per half of the flat parameter. One worker thread,
+started by the first step when the process may run on more than one CPU,
+takes tasks while the main thread finishes backward. optimizer_step queues
+every parameter not yet queued, runs queued tasks on the main thread too,
+waits for the worker and re-raises the first error a task raised. Each
+thread writes its temporaries into its own half of the scratch buffers,
+and every element goes through the same 13 ufuncs in the same order as in
+a serial update, so weights and moments are bitwise equal to it.
 """
 from __future__ import annotations
 
 import math
+import os
+import queue
+import threading
+from collections import Counter
 
 import numpy as np
 
@@ -87,8 +105,15 @@ class Tensor:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
-    def backward(self) -> None:
-        """Populate grads of every tracked tensor this scalar depends on."""
+    def backward(self, on_final=None) -> None:
+        """Populate grads of every tracked tensor this scalar depends on.
+
+        on_final(leaf), when given, is called once for each tracked leaf
+        (requires_grad, no vjp) that received a gradient, as soon as the
+        vjp of its last consumer has run: its grad and every read of its
+        data are then complete, so the leaf may be updated in place while
+        the rest of backward runs.
+        """
         if self.data.ndim != 0:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.data.shape}")
         if self._vjp is None and not self._parents:
@@ -108,23 +133,32 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
+        if on_final is not None:
+            # consumers still to run per tensor, counted per use
+            pending = Counter(id(p) for node in order for p in node._parents)
         self.grad = np.ones((), dtype=self.data.dtype)
         for node in reversed(order):
-            if node._vjp is None or node.grad is None:
+            if node._vjp is not None and node.grad is not None:
+                for parent, contribution in zip(node._parents, node._vjp(node.grad)):
+                    if contribution is None:
+                        continue
+                    if parent.grad is not None:
+                        parent.grad += contribution
+                    elif (contribution.shape != parent.data.shape
+                          or contribution.dtype != parent.data.dtype):
+                        parent.grad = np.zeros_like(parent.data)
+                        parent.grad += contribution
+                    elif contribution.base is None and contribution is not node.grad:
+                        parent.grad = contribution
+                    else:
+                        parent.grad = contribution.copy()
+            if on_final is None:
                 continue
-            for parent, contribution in zip(node._parents, node._vjp(node.grad)):
-                if contribution is None:
-                    continue
-                if parent.grad is not None:
-                    parent.grad += contribution
-                elif (contribution.shape != parent.data.shape
-                      or contribution.dtype != parent.data.dtype):
-                    parent.grad = np.zeros_like(parent.data)
-                    parent.grad += contribution
-                elif contribution.base is None and contribution is not node.grad:
-                    parent.grad = contribution
-                else:
-                    parent.grad = contribution.copy()
+            for parent in node._parents:
+                pending[id(parent)] -= 1
+                if (pending[id(parent)] == 0 and parent.requires_grad
+                        and parent._vjp is None and parent.grad is not None):
+                    on_final(parent)
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -366,7 +400,10 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 class OptimizerState:
-    """Adam moment accumulators plus the step counter and hyperparameters."""
+    """Adam moment accumulators plus the step counter and hyperparameters.
+
+    One thread trains with a state: it runs backward() and optimizer_step.
+    """
 
     beta1 = 0.9
     beta2 = 0.999
@@ -377,49 +414,163 @@ class OptimizerState:
         self.step = 0
         self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
         self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
-        # two flat work buffers per dtype, as long as the largest parameter;
-        # every update writes its temporaries into views of them
+        # two flat work buffers per dtype, each two halves as long as half
+        # the largest parameter: a task updates at most half a parameter,
+        # and each thread writes its temporaries into its own half
         sizes: dict[np.dtype, int] = {}
         for t in params.values():
-            sizes[t.data.dtype] = max(sizes.get(t.data.dtype, 0), t.data.size)
-        self.scratch = {dtype: (np.empty(n, dtype), np.empty(n, dtype))
+            sizes[t.data.dtype] = max(sizes.get(t.data.dtype, 0), (t.data.size + 1) // 2)
+        self.scratch = {dtype: (np.empty(2 * n, dtype), np.empty(2 * n, dtype))
                         for dtype, n in sizes.items()}
+        self._names = {id(t): name for name, t in params.items()}
+        # the open step: parameters queued so far, its bias corrections,
+        # and the errors its tasks raised
+        self._queued: dict[str, Tensor] = {}
+        self._bias_correction = (1.0, 1.0)
+        self._errors: list[Exception] = []
+
+    def start_update(self, t: Tensor) -> None:
+        """Queue the Adam update of parameter t, whose gradient is final;
+        the on_final hook of Tensor.backward. Other tensors are ignored."""
+        name = self._names.get(id(t))
+        if name is not None and name not in self._queued:
+            self._queue(name, t)
+
+    def _queue(self, name: str, t: Tensor) -> None:
+        if not self._queued:
+            self.step += 1
+            self._bias_correction = (1.0 - self.beta1 ** self.step,
+                                     1.0 - self.beta2 ** self.step)
+            _worker.start()
+        self._queued[name] = t
+        half = (t.data.size + 1) // 2
+        _worker.put((self, name, t, 0, half))
+        _worker.put((self, name, t, half, t.data.size))
+
+
+def _adam(state: OptimizerState, name: str, t: Tensor, lo: int, hi: int,
+          lane: int) -> None:
+    """Adam on elements lo:hi of the flat parameter, with temporaries in
+    half lane of the scratch buffers: 0 for the training thread, 1 for the
+    worker."""
+    if t.grad.shape != t.data.shape:
+        raise ShapeError(f"gradient of shape {t.grad.shape} for {name!r} "
+                         f"of shape {t.data.shape}")
+    if not t.data.flags.c_contiguous:
+        raise ValidationError(f"parameter {name!r} is not C-contiguous")
+    g = t.grad.reshape(-1)[lo:hi]
+    m = state.m[name].reshape(-1)[lo:hi]
+    v = state.v[name].reshape(-1)[lo:hi]
+    w = t.data.reshape(-1)[lo:hi]
+    buf1, buf2 = state.scratch[t.data.dtype]
+    start = lane * (buf1.size // 2)
+    s1, s2 = buf1[start:start + hi - lo], buf2[start:start + hi - lo]
+    bc1, bc2 = state._bias_correction
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
+    np.multiply(g, 1.0 - state.beta1, out=s1)
+    m *= state.beta1
+    m += s1
+    np.square(g, out=s1)
+    s1 *= 1.0 - state.beta2
+    v *= state.beta2
+    v += s1
+    # w -= (lr / bc1) m / (sqrt(v / bc2) + eps)
+    np.divide(v, bc2, out=s1)
+    np.sqrt(s1, out=s1)
+    s1 += state.eps
+    np.multiply(m, state.learning_rate / bc1, out=s2)
+    s2 /= s1
+    w -= s2
+
+
+def _run_task(task: tuple, lane: int) -> None:
+    state = task[0]
+    try:
+        _adam(*task, lane)
+    except Exception as exc:  # raised again by optimizer_step on the training thread
+        state._errors.append(exc)
+
+
+class _Worker:
+    """The queue of Adam tasks and the one thread, besides the training
+    thread, that runs them. Nothing starts at import: the first step starts
+    the thread, and only when the process may run on more than one CPU."""
+
+    def __init__(self) -> None:
+        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
+        self._done: queue.SimpleQueue = queue.SimpleQueue()
+        # tasks put and not yet run here or reported done by the worker;
+        # the training thread alone reads and writes it
+        self._pending = 0
+        self._lock = threading.Lock()
+        self._started = False
+
+    def start(self) -> None:
+        with self._lock:
+            if self._started:
+                return
+            self._started = True
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            if cpus > 1:
+                threading.Thread(target=self._serve, name="nulog-adam",
+                                 daemon=True).start()
+
+    def put(self, task: tuple) -> None:
+        self._pending += 1
+        self._tasks.put(task)
+
+    def _serve(self) -> None:
+        while True:
+            _run_task(self._tasks.get(), 1)
+            self._done.put(None)
+
+    def finish(self) -> None:
+        """Run queued tasks on the calling thread until none is left, then
+        wait for those the worker took."""
+        while True:
+            try:
+                task = self._tasks.get_nowait()
+            except queue.Empty:
+                break
+            self._pending -= 1
+            _run_task(task, 0)
+        while self._pending:
+            self._done.get()
+            self._pending -= 1
+
+
+_worker = _Worker()
 
 
 def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     """One Adam update with bias correction; consumes the gradients.
 
-    Gradients are reset to None afterwards, so a second step without an
-    intervening backward() raises StaleGradientError instead of silently
-    reapplying old gradients.
+    Parameters that backward(on_final=state.start_update) queued are under
+    way already; every other one is queued here. Returns once every queued
+    update is done, and raises the first error an update raised. Gradients
+    are reset to None afterwards, so a second step without an intervening
+    backward() raises StaleGradientError instead of silently reapplying old
+    gradients. A parameter with no gradient raises it before anything more
+    is queued; parameters queued during backward() have moved by then.
     """
-    for name, t in params.items():
-        if t.grad is None:
-            raise StaleGradientError(f"no gradient for {name!r}; run backward() first")
-    state.step += 1
-    bc1 = 1.0 - state.beta1 ** state.step
-    bc2 = 1.0 - state.beta2 ** state.step
-    for name, t in params.items():
-        g = t.grad
-        m = state.m[name]
-        v = state.v[name]
-        s1, s2 = (buf[:g.size].reshape(g.shape) for buf in state.scratch[t.data.dtype])
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-        np.multiply(g, 1.0 - state.beta1, out=s1)
-        m *= state.beta1
-        m += s1
-        np.square(g, out=s1)
-        s1 *= 1.0 - state.beta2
-        v *= state.beta2
-        v += s1
-        # w -= (lr / bc1) m / (sqrt(v / bc2) + eps)
-        np.divide(v, bc2, out=s1)
-        np.sqrt(s1, out=s1)
-        s1 += state.eps
-        np.multiply(m, state.learning_rate / bc1, out=s2)
-        s2 /= s1
-        t.data -= s2
+    stale = [name for name, t in params.items()
+             if name not in state._queued and t.grad is None]
+    if not stale:
+        for name, t in params.items():
+            if name not in state._queued:
+                state._queue(name, t)
+    try:
+        _worker.finish()
+    finally:
+        done, state._queued = state._queued, {}
+        errors, state._errors = state._errors, []
+    for t in done.values():
         t.grad = None
+    if errors:
+        raise errors[0]
+    if stale:
+        raise StaleGradientError(f"no gradient for {stale[0]!r}; run backward() first")
 
 
 def finite_difference_check(loss_fn, params: dict[str, Tensor],

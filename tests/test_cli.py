@@ -1,13 +1,17 @@
 """End-to-end command tests: every subcommand, its files, and exit codes."""
 import csv
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import nulog
 import synth
 from nulog.cli import main
 from nulog.extraction import PLACEHOLDER, constant_masks
@@ -449,6 +453,45 @@ class TestEval:
         code = main(["eval", "--out", str(tmp_path / "report.csv")])
         assert code == 3
 
+    @pytest.mark.parametrize("flag", ["--parsed", "--truth", "--dataset"])
+    def test_batch_with_a_pair_flag_is_config_error(self, tmp_path, capsys, flag):
+        # used to exit 0 with the flag ignored; no file is read, the jobs
+        # file included
+        out = tmp_path / "report.csv"
+        code = main(["eval", "--batch", str(tmp_path / "absent.csv"),
+                     flag, str(tmp_path / "x"), "--out", str(out)])
+        assert code == 3
+        assert "--batch takes" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_truth_needs_line_id_and_event_id_only(self, tmp_path):
+        parsed, truth = write_eval_fixture(tmp_path)
+        rows = read_csv(truth)
+        with open(truth, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["LineId", "EventId", "EventTemplate"])
+            writer.writerows((r["LineId"], r["EventId"], r["EventTemplate"])
+                             for r in rows)
+        out = tmp_path / "report.csv"
+        assert main(["eval", "--parsed", str(parsed), "--truth", str(truth),
+                     "--out", str(out)]) == 0
+        report = read_csv(out)[0]
+        assert float(report["parsing_accuracy"]) == pytest.approx(1 / 3)
+        assert float(report["mean_edit_distance"]) == pytest.approx(1.0)
+
+    def test_truth_without_line_id_is_schema_error(self, tmp_path, capsys):
+        # rows used to be numbered by position
+        parsed, truth = write_eval_fixture(tmp_path)
+        rows = read_csv(truth)
+        with open(truth, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["Content", "EventId", "EventTemplate"])
+            writer.writerows((r["Content"], r["EventId"], r["EventTemplate"])
+                             for r in rows)
+        assert main(["eval", "--parsed", str(parsed), "--truth", str(truth),
+                     "--out", str(tmp_path / "report.csv")]) == 4
+        assert "missing columns ['LineId']" in capsys.readouterr().err
+
     def test_truth_without_event_id_is_validation_error(self, tmp_path):
         parsed, truth = write_eval_fixture(tmp_path)
         rows = read_csv(truth)
@@ -460,6 +503,37 @@ class TestEval:
         code = main(["eval", "--parsed", str(parsed), "--truth", str(truth),
                      "--out", str(tmp_path / "report.csv")])
         assert code == 4
+
+
+THREAD_COUNTS = """
+import sys, threading
+counts = [threading.active_count()]
+from nulog.cli import main
+counts.append(threading.active_count())
+data, config, model, truth, work = sys.argv[1:6]
+assert main(["parse", "--data", data, "--model", model, "--out", work + "/p.csv"]) == 0
+assert main(["eval", "--parsed", work + "/p.csv", "--truth", truth,
+             "--out", work + "/r.csv"]) == 0
+counts.append(threading.active_count())
+for i in range(2):
+    assert main(["train", "--data", data, "--config", config,
+                 "--out-model", f"{work}/m{i}.nulog", *sys.argv[6:]]) == 0
+    counts.append(threading.active_count())
+print(counts)
+"""
+
+
+def test_only_training_starts_a_thread_and_at_most_one(workspace, tmp_path):
+    # a fresh interpreter: in this one, earlier tests may have trained
+    done = subprocess.run(
+        [sys.executable, "-c", THREAD_COUNTS, str(workspace["data"]),
+         str(workspace["config"]), str(workspace["model"]), str(workspace["truth"]),
+         str(tmp_path), *TINY_DIMS],
+        env={**os.environ, "PYTHONPATH": str(Path(nulog.__file__).parents[1])},
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    worker = 1 if len(os.sched_getaffinity(0)) > 1 else 0
+    assert json.loads(done.stdout.splitlines()[-1]) == [1, 1, 1, 1 + worker, 1 + worker]
 
 
 def write_alert_log(path):

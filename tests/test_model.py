@@ -1,14 +1,18 @@
 """Encoder construction, forward semantics, and the training loop."""
 import hashlib
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from nulog import masking, numerics
 from nulog.errors import ConfigError, ShapeError, ValidationError
-from nulog.model import Model, ModelConfig, positional_encoding, train
-from nulog.numerics import Tensor, cross_entropy, finite_difference_check
+from nulog.model import Model, ModelConfig, positional_encoding, train, train_epoch
+from nulog.numerics import (OptimizerState, Tensor, cross_entropy,
+                            finite_difference_check)
 from nulog.tokenizer import (CLS_ID, build_vocabulary, compute_frame_length,
                              frame, tokenize, WHITESPACE_FILTER)
 
@@ -407,6 +411,61 @@ class TestTrain:
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
             train([], tiny_config())
+
+
+class TestOverlappedAdam:
+    """train_epoch starts each parameter's Adam update during backward();
+    the result must equal backward() followed by optimizer_step, bit for
+    bit. With two blocks, rearrange(wv) is a view of wv.data that a later
+    vjp reads, so a parameter updated before every reader has run would
+    change the gradients of the parameters after it."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_three_epochs_equal_the_serial_steps_bitwise(self, dtype, monkeypatch):
+        config = ModelConfig(vocab_size=300, frame_length=8, d=64, heads=4,
+                             ffn_hidden=128, blocks=2, batch_size=16, seed=7)
+        rng = np.random.default_rng(4)
+        ids = rng.integers(0, config.vocab_size, size=(48, config.frame_length))
+        ids[:, 0] = CLS_ID
+        targets = rng.integers(0, config.vocab_size, size=48)
+        ran_on = []
+        run_task = numerics._run_task
+        monkeypatch.setattr(numerics, "_run_task", lambda task, lane: (
+            ran_on.append(threading.current_thread().name), run_task(task, lane)))
+
+        def serial_epoch(model, opt):
+            size = config.batch_size
+            total = 0.0
+            for start in range(0, len(ids), size):
+                loss = cross_entropy(model.forward_logits(ids[start:start + size]),
+                                     targets[start:start + size])
+                loss.backward()
+                numerics.optimizer_step(model.params, opt)
+                total += float(loss.data) * len(ids[start:start + size])
+            return total / len(ids)
+
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter between threads often
+        try:
+            for epoch_fn in (lambda m, o: train_epoch(m, o, ids, targets), serial_epoch):
+                model = Model(config, rng=np.random.default_rng(0), dtype=dtype)
+                opt = OptimizerState(model.params)
+                losses = [epoch_fn(model, opt) for _ in range(3)]
+                results.append((model, opt, losses))
+        finally:
+            sys.setswitchinterval(interval)
+        (overlapped, opt_o, losses_o), (serial, opt_s, losses_s) = results
+        assert losses_o == losses_s
+        assert opt_o.step == opt_s.step == 9
+        for name, t in overlapped.params.items():
+            assert t.data.dtype == dtype
+            assert np.array_equal(t.data, serial.params[name].data), name
+            assert np.array_equal(opt_o.m[name], opt_s.m[name]), name
+            assert np.array_equal(opt_o.v[name], opt_s.v[name]), name
+            assert t.grad is None
+        if len(os.sched_getaffinity(0)) > 1:
+            assert "nulog-adam" in ran_on
 
 
 class TestFullModelGradient:

@@ -220,9 +220,34 @@ class TestBackwardHandDerived:
             out.backward()
 
 
-def zero_then_add_backward(loss: Tensor) -> None:
+class TestOnFinal:
+    def test_fires_once_per_tracked_leaf_with_its_final_gradient(self):
+        rng = np.random.default_rng(6)
+        x, w1, w2, b = (Tensor(rng.normal(size=shape), requires_grad=True)
+                        for shape in ((2, 3, 4), (4, 5), (5, 4), (1, 4)))
+        constant = Tensor(rng.normal(size=(2, 3, 4)))
+        # x feeds two products and a residual; w1 also enters through a
+        # transpose, whose result is a view of w1.data
+        h = relu(add(matmul(x, w1), matmul(add(x, constant), w1)))
+        out = add(add(matmul(h, w2), matmul(x, matmul(w1, transpose(w1)))), b)
+        seen = []
+        sum_all(out).backward(on_final=lambda t: seen.append((t, t.grad.copy())))
+        assert sorted(map(id, (t for t, _ in seen))) == sorted(map(id, (x, w1, w2, b)))
+        for t, grad in seen:
+            assert np.array_equal(grad, t.grad)
+
+    def test_a_leaf_without_requires_grad_is_not_reported(self):
+        a = Tensor(np.ones((2, 2)))
+        w = Tensor(np.ones((2, 2)), requires_grad=True)
+        seen = []
+        sum_all(matmul(a, w)).backward(on_final=seen.append)
+        assert seen == [w]
+
+
+def zero_then_add_backward(loss: Tensor, on_final=None) -> None:
     """backward() as it was before gradient adoption: every first
-    contribution lands in a fresh zero array."""
+    contribution lands in a fresh zero array. on_final sees every tracked
+    leaf only after the whole pass, so Adam runs strictly after backward."""
     order, seen, stack = [], set(), [(loss, False)]
     while stack:
         node, expanded = stack.pop()
@@ -244,6 +269,10 @@ def zero_then_add_backward(loss: Tensor) -> None:
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.data)
             parent.grad += contribution
+    if on_final is not None:
+        for node in order:
+            if node.requires_grad and node._vjp is None and node.grad is not None:
+                on_final(node)
 
 
 def assert_grads_disjoint(tensors) -> None:
@@ -544,6 +573,38 @@ class TestOptimizer:
         optimizer_step(params, state)
         with pytest.raises(StaleGradientError):
             optimizer_step(params, state)
+
+    def test_an_update_error_surfaces_and_the_next_step_runs(self):
+        params = param_set(w=np.ones((40, 30)), b=np.ones((1, 30)))
+        state = OptimizerState(params)
+        params["w"].grad = np.ones((30, 40))
+        params["b"].grad = np.ones((1, 30))
+        # queued as backward() would, so the worker may take it at once
+        state.start_update(params["w"])
+        with pytest.raises(ShapeError, match="'w'"):
+            optimizer_step(params, state)
+        assert params["w"].grad is None and params["b"].grad is None
+        assert np.all(params["w"].data == 1.0)
+        for t in params.values():
+            t.grad = np.ones_like(t.data)
+        optimizer_step(params, state)
+        assert state.step == 2
+        for t in params.values():
+            assert np.all(t.data < 1.0)
+
+    def test_a_parameter_the_loss_never_reaches_is_stale(self):
+        params = param_set(w=np.ones((3, 4)), unused=np.ones((1, 4)))
+        state = OptimizerState(params)
+        x = Tensor(np.ones((2, 3)))
+        sum_all(matmul(x, params["w"])).backward(on_final=state.start_update)
+        with pytest.raises(StaleGradientError, match="'unused'"):
+            optimizer_step(params, state)
+        # w was queued during backward(), so it has moved by the time the
+        # missing gradient shows
+        assert state.step == 1
+        assert np.all(params["w"].data < 1.0)
+        assert np.all(params["unused"].data == 1.0)
+        assert params["w"].grad is None
 
     def test_quadratic_bowl_converges(self):
         params = param_set(theta=np.array([[3.0]]))
