@@ -4,21 +4,25 @@ only when the model ranks the true token inside the top epsilon candidates.
 constant_masks is the one place that applies that rule, to many messages at
 once, for parsing here and, as its complement, for anomaly scoring. The
 rule reads only a masked input and its true token, so each distinct masked
-input is scored once, in chunks of MASK_CHUNK distinct inputs, one forward
-pass per chunk, whichever messages the input came from. A message's result
-does not depend on which other messages share its chunks or its masked
-inputs. Tokens the rule rejects become the placeholder and their original
-text is reported as that message's variable list, in token order.
+input is scored once, whichever messages the input came from, in chunks of
+chunk_rows(model) distinct inputs, one forward pass per chunk. A chunk's
+verdicts depend on nothing outside it, so the chunks are numerics tasks
+that the calling thread and the worker thread take in turn. A message's
+result does not depend on which other messages share its chunks or its
+masked inputs, nor on which thread scored them. Tokens the rule rejects
+become the placeholder and their original text is reported as that
+message's variable list, in token order.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from . import masking
+from . import masking, numerics
 from .errors import ValidationError
 from .model import Model
 from .tokenizer import UNK_ID, TokenSequence
@@ -27,9 +31,11 @@ log = logging.getLogger(__name__)
 
 PLACEHOLDER = "⟨*⟩"  # angle-bracketed star
 
-# masked samples per forward pass: large enough to fill a GEMM, small enough
-# that the activations of one pass stay a few megabytes
-MASK_CHUNK = 256
+# elements of one chunk's widest array, 1.3 MB at float32: chunk_rows
+# divides it by the widest per-row width, so a chunk's memory does not grow
+# with the frame or the vocabulary. Each of the two threads holds one
+# chunk's arrays at a time, a few arrays of that size in a one-block encoder
+CHUNK_ELEMS = 327_680
 
 
 @dataclass
@@ -54,6 +60,14 @@ def _ranks(probabilities: np.ndarray, true_ids: np.ndarray) -> np.ndarray:
     tied_before = ((probabilities == p_true[:, None])
                    & (np.arange(probabilities.shape[1]) < true_ids[:, None])).sum(axis=1)
     return higher + tied_before
+
+
+def chunk_rows(model: Model) -> int:
+    """Masked inputs per forward pass: CHUNK_ELEMS over the widest per-row
+    array, the (frame_length, d) embedding of a row or its head_out
+    probabilities; at least one."""
+    width = max(model.config.frame_length * model.config.d, model.head_out)
+    return max(1, CHUNK_ELEMS // width)
 
 
 def constant_masks(model: Model, seqs: list[TokenSequence],
@@ -88,18 +102,25 @@ def constant_masks(model: Model, seqs: list[TokenSequence],
     true_ids = np.array(targets, dtype=np.int64)
     flat = true_ids != UNK_ID
     # samples sorted by input: the samples of one chunk of inputs are one
-    # run of this order
+    # run of this order, so no two chunks write the same element of flat
     order = np.argsort(rows, kind="stable")
-    starts = range(0, len(inputs), MASK_CHUNK)
+    size = chunk_rows(model)
+    starts = range(0, len(inputs), size)
     bounds = np.searchsorted(rows[order], [*starts, len(inputs)])
-    for start, lo, hi in zip(starts, bounds, bounds[1:]):
-        probabilities = model.predict_masked_batch(inputs[start:start + MASK_CHUNK])
-        # rank MASK_CHUNK samples at a time, so a popular input held by
-        # many samples never gathers more than MASK_CHUNK rows
-        for first in range(lo, hi, MASK_CHUNK):
-            part = order[first:min(first + MASK_CHUNK, hi)]
+
+    def score_chunk(start: int, samples: np.ndarray, lane: int) -> None:
+        """Score inputs[start:start + size] in one forward pass and apply
+        the rule to their samples; writes flat[samples] alone."""
+        probabilities = model.predict_masked_batch(inputs[start:start + size])
+        # rank size samples at a time, so a popular input held by many
+        # samples never gathers more rows than a chunk has
+        for first in range(0, len(samples), size):
+            part = samples[first:first + size]
             ranks = _ranks(probabilities[rows[part] - start], true_ids[part])
             flat[part] &= ranks < epsilon
+
+    numerics.run_tasks(partial(score_chunk, start, order[lo:hi])
+                       for start, lo, hi in zip(starts, bounds, bounds[1:]))
     ends = np.cumsum([len(seq.tokens) for seq in seqs], dtype=np.int64)
     masks = [flat[end - len(seq.tokens):end] for seq, end in zip(seqs, ends)]
     return masks, len(inputs)
@@ -133,5 +154,5 @@ def parse_corpus(model: Model, corpus: list[TokenSequence], epsilon: int
                                     variables=variables))
     log.info("scored %d messages: %d masked samples as %d distinct inputs "
              "in %d forward calls", len(corpus), sum(m.size for m in masks),
-             scored, math.ceil(scored / MASK_CHUNK))
+             scored, math.ceil(scored / chunk_rows(model)))
     return parsed, list(template_ids), scored

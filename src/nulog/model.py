@@ -87,7 +87,8 @@ class Model:
     """Encoder weights plus the vocabulary they were trained against.
 
     A trained instance is immutable by convention: inference methods run
-    under no_grad and never touch parameter values.
+    under no_grad and never touch parameter values, so two threads may
+    score with one model at once.
     """
 
     def __init__(self, config: ModelConfig, vocab: Vocabulary | None = None,
@@ -238,9 +239,12 @@ class Model:
         """Softmax of the head logits under no_grad: (B, T) ids -> (B, head_out)."""
         with numerics.no_grad():
             logits = self.forward_logits(framed_ids).data
-        shifted = logits - logits.max(axis=-1, keepdims=True)
-        e = np.exp(shifted)
-        return e / e.sum(axis=-1, keepdims=True)
+        # in place on the fresh logits: the same ufuncs as out-of-place
+        # temporaries, so the same bits, in one (B, head_out) array
+        logits -= logits.max(axis=-1, keepdims=True)
+        np.exp(logits, out=logits)
+        logits /= logits.sum(axis=-1, keepdims=True)
+        return logits
 
     def predict_masked_batch(self, samples: list[MaskedSample]) -> np.ndarray:
         """Vocabulary distributions for masked samples: (N, vocab)."""

@@ -27,19 +27,26 @@ Adam (OptimizerState, optimizer_step) and finite_difference_check take the
 trainable tensors as a plain dict from name to Tensor and visit them in the
 dict's order.
 
+Two threads share the work: the calling thread and one worker thread,
+started the first time work is queued and only when the process may run
+on more than one CPU. A task is a callable that takes its lane, 0 on the
+calling thread and 1 on the worker, and writes nothing another queued
+task reads or writes. run_tasks queues a list of tasks, runs them on both
+threads and re-raises the first error a task raised; on one CPU the
+calling thread runs them all. Grad mode (no_grad) is per thread.
+
 Who runs Adam, and when: Adam is elementwise, so a parameter can be updated
 as soon as its gradient is final. backward(on_final=state.start_update)
 calls the hook for each tracked leaf once the vjp of its last consumer has
 run; every reader of the leaf's data, views of it included, is a
 descendant of that consumer and has run before it. start_update queues the
-update as two tasks, one per half of the flat parameter. One worker thread,
-started by the first step when the process may run on more than one CPU,
-takes tasks while the main thread finishes backward. optimizer_step queues
-every parameter not yet queued, runs queued tasks on the main thread too,
-waits for the worker and re-raises the first error a task raised. Each
-thread writes its temporaries into its own half of the scratch buffers,
-and every element goes through the same 13 ufuncs in the same order as in
-a serial update, so weights and moments are bitwise equal to it.
+update as two tasks, one per half of the flat parameter, which the worker
+takes while the training thread finishes backward. optimizer_step queues
+every parameter not yet queued and finishes the tasks as run_tasks does.
+Each lane writes its temporaries into its own half of the scratch
+buffers, and every element goes through the same 13 ufuncs in the same
+order as in a serial update, so weights and moments are bitwise equal to
+it.
 """
 from __future__ import annotations
 
@@ -48,6 +55,7 @@ import os
 import queue
 import threading
 from collections import Counter
+from functools import partial
 
 import numpy as np
 
@@ -55,21 +63,28 @@ from .errors import ShapeError, StaleGradientError, ValidationError
 
 _FLOAT_DTYPES = (np.float32, np.float64)
 
-_grad_enabled = True
+
+class _GradMode(threading.local):
+    """Whether kernels record the tape, per thread: True until a thread
+    enters no_grad."""
+
+    enabled = True
+
+
+_grad_mode = _GradMode()
 
 
 class no_grad:
-    """Context manager that disables tape recording for cheap inference."""
+    """Context manager that disables tape recording for cheap inference,
+    on the thread that enters it."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._saved = _grad_enabled
-        _grad_enabled = False
+        self._saved = _grad_mode.enabled
+        _grad_mode.enabled = False
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._saved
+        _grad_mode.enabled = self._saved
         return False
 
 
@@ -162,7 +177,7 @@ class Tensor:
 
 
 def _tracked(*tensors: Tensor) -> bool:
-    if not _grad_enabled:
+    if not _grad_mode.enabled:
         return False
     return any(t.requires_grad or t._parents or t._vjp is not None for t in tensors)
 
@@ -423,11 +438,9 @@ class OptimizerState:
         self.scratch = {dtype: (np.empty(2 * n, dtype), np.empty(2 * n, dtype))
                         for dtype, n in sizes.items()}
         self._names = {id(t): name for name, t in params.items()}
-        # the open step: parameters queued so far, its bias corrections,
-        # and the errors its tasks raised
+        # the open step: parameters queued so far and its bias corrections
         self._queued: dict[str, Tensor] = {}
         self._bias_correction = (1.0, 1.0)
-        self._errors: list[Exception] = []
 
     def start_update(self, t: Tensor) -> None:
         """Queue the Adam update of parameter t, whose gradient is final;
@@ -444,15 +457,14 @@ class OptimizerState:
             _worker.start()
         self._queued[name] = t
         half = (t.data.size + 1) // 2
-        _worker.put((self, name, t, 0, half))
-        _worker.put((self, name, t, half, t.data.size))
+        _worker.put(partial(_adam, self, name, t, 0, half))
+        _worker.put(partial(_adam, self, name, t, half, t.data.size))
 
 
 def _adam(state: OptimizerState, name: str, t: Tensor, lo: int, hi: int,
           lane: int) -> None:
     """Adam on elements lo:hi of the flat parameter, with temporaries in
-    half lane of the scratch buffers: 0 for the training thread, 1 for the
-    worker."""
+    half lane of the scratch buffers."""
     if t.grad.shape != t.data.shape:
         raise ShapeError(f"gradient of shape {t.grad.shape} for {name!r} "
                          f"of shape {t.data.shape}")
@@ -483,27 +495,30 @@ def _adam(state: OptimizerState, name: str, t: Tensor, lo: int, hi: int,
     w -= s2
 
 
-def _run_task(task: tuple, lane: int) -> None:
-    state = task[0]
-    try:
-        _adam(*task, lane)
-    except Exception as exc:  # raised again by optimizer_step on the training thread
-        state._errors.append(exc)
+def _run_task(task, lane: int) -> None:
+    task(lane)
 
 
 class _Worker:
-    """The queue of Adam tasks and the one thread, besides the training
-    thread, that runs them. Nothing starts at import: the first step starts
-    the thread, and only when the process may run on more than one CPU."""
+    """The task queue and the one thread, besides the calling thread, that
+    runs its tasks. Nothing starts at import: the first queued work starts
+    the thread, and only when the process may run on more than one CPU.
+    One thread at a time queues tasks and finishes them."""
+
+    # queued by cancel behind every task the worker may have taken
+    _BARRIER = object()
 
     def __init__(self) -> None:
         self._tasks: queue.SimpleQueue = queue.SimpleQueue()
         self._done: queue.SimpleQueue = queue.SimpleQueue()
         # tasks put and not yet run here or reported done by the worker;
-        # the training thread alone reads and writes it
+        # the calling thread alone reads and writes it
         self._pending = 0
+        # what tasks raised since the last finish, on either thread
+        self._errors: list[BaseException] = []
         self._lock = threading.Lock()
         self._started = False
+        self._thread: threading.Thread | None = None
 
     def start(self) -> None:
         with self._lock:
@@ -513,34 +528,87 @@ class _Worker:
             cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                     else os.cpu_count() or 1)
             if cpus > 1:
-                threading.Thread(target=self._serve, name="nulog-adam",
-                                 daemon=True).start()
+                self._thread = threading.Thread(target=self._serve, name="nulog-worker",
+                                                daemon=True)
+                self._thread.start()
 
-    def put(self, task: tuple) -> None:
+    def put(self, task) -> None:
         self._pending += 1
         self._tasks.put(task)
 
     def _serve(self) -> None:
         while True:
-            _run_task(self._tasks.get(), 1)
-            self._done.put(None)
+            task = self._tasks.get()
+            if task is not self._BARRIER:
+                try:
+                    _run_task(task, 1)
+                except BaseException as exc:  # handed to finish(); the thread lives on
+                    self._errors.append(exc)
+            self._done.put(task is self._BARRIER)
+            del task  # hold no finished task while idle
 
-    def finish(self) -> None:
-        """Run queued tasks on the calling thread until none is left, then
-        wait for those the worker took."""
+    def finish(self) -> list[BaseException]:
+        """Run queued tasks on the calling thread until none is left, wait
+        for those the worker took, and return what the tasks raised.
+
+        A BaseException that is not an Exception, such as a
+        KeyboardInterrupt on the calling thread, cancels the rest and
+        propagates.
+        """
+        try:
+            while True:
+                try:
+                    task = self._tasks.get_nowait()
+                except queue.Empty:
+                    break
+                self._pending -= 1
+                try:
+                    _run_task(task, 0)
+                except Exception as exc:
+                    self._errors.append(exc)
+            while self._pending:
+                self._done.get()
+                self._pending -= 1
+        except BaseException:
+            self.cancel()
+            raise
+        errors, self._errors = self._errors, []
+        return errors
+
+    def cancel(self) -> None:
+        """Drop every queued task, wait for the one the worker may be
+        running, and forget what tasks raised."""
         while True:
             try:
-                task = self._tasks.get_nowait()
+                self._tasks.get_nowait()
             except queue.Empty:
                 break
-            self._pending -= 1
-            _run_task(task, 0)
-        while self._pending:
-            self._done.get()
-            self._pending -= 1
+        if self._thread is not None:
+            # the worker takes tasks in order, so once it reaches the
+            # barrier it runs nothing more
+            self._tasks.put(self._BARRIER)
+            while not self._done.get():
+                pass
+        self._pending = 0
+        self._errors = []
 
 
 _worker = _Worker()
+
+
+def run_tasks(tasks) -> None:
+    """Run every task(lane) on the calling thread and the worker; return
+    once all are done, and raise the first error a task raised."""
+    _worker.start()
+    try:
+        for task in tasks:
+            _worker.put(task)
+    except BaseException:
+        _worker.cancel()
+        raise
+    errors = _worker.finish()
+    if errors:
+        raise errors[0]
 
 
 def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> None:
@@ -561,10 +629,9 @@ def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> None:
             if name not in state._queued:
                 state._queue(name, t)
     try:
-        _worker.finish()
+        errors = _worker.finish()
     finally:
         done, state._queued = state._queued, {}
-        errors, state._errors = state._errors, []
     for t in done.values():
         t.grad = None
     if errors:

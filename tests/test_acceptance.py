@@ -258,6 +258,10 @@ def _check_accuracy_oracle() -> str:
 class FixedRowModel:
     """Answers every masked input with the same probability row."""
 
+    # the dims extraction.chunk_rows reads: 1,280 inputs per forward pass
+    config = ModelConfig(vocab_size=1, frame_length=1)
+    head_out = 1
+
     def __init__(self, row):
         self.row = row
 

@@ -25,6 +25,10 @@ class IdRankStub:
     """Fake predictor whose probabilities decrease with token id, so the
     rank of every true token equals its id exactly."""
 
+    # the dims extraction.chunk_rows reads: 1,280 inputs per forward pass
+    config = ModelConfig(vocab_size=1, frame_length=1)
+    head_out = 1
+
     def __init__(self, vocab_size: int):
         row = np.linspace(1.0, 0.5, vocab_size)
         self.row = row / row.sum()

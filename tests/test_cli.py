@@ -6,6 +6,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -13,9 +14,12 @@ import pytest
 
 import nulog
 import synth
+from nulog import extraction
 from nulog.cli import main
+from nulog.errors import ShapeError
 from nulog.extraction import PLACEHOLDER, constant_masks
 from nulog.ingest import load_loghub_csv
+from nulog.model import Model
 from nulog.persistence import load_model
 from nulog.tokenizer import WHITESPACE_FILTER, frame, tokenize
 
@@ -511,9 +515,10 @@ counts = [threading.active_count()]
 from nulog.cli import main
 counts.append(threading.active_count())
 data, config, model, truth, work = sys.argv[1:6]
-assert main(["parse", "--data", data, "--model", model, "--out", work + "/p.csv"]) == 0
-assert main(["eval", "--parsed", work + "/p.csv", "--truth", truth,
+assert main(["eval", "--parsed", work + "/p0.csv", "--truth", truth,
              "--out", work + "/r.csv"]) == 0
+counts.append(threading.active_count())
+assert main(["parse", "--data", data, "--model", model, "--out", work + "/p.csv"]) == 0
 counts.append(threading.active_count())
 for i in range(2):
     assert main(["train", "--data", data, "--config", config,
@@ -523,8 +528,11 @@ print(counts)
 """
 
 
-def test_only_training_starts_a_thread_and_at_most_one(workspace, tmp_path):
-    # a fresh interpreter: in this one, earlier tests may have trained
+def test_scoring_and_training_share_at_most_one_thread(workspace, tmp_path):
+    # eval's parsed file comes from this interpreter; the counts come from a
+    # fresh one, since in this one earlier tests may have started the worker
+    assert main(["parse", "--data", str(workspace["data"]), "--model",
+                 str(workspace["model"]), "--out", str(tmp_path / "p0.csv")]) == 0
     done = subprocess.run(
         [sys.executable, "-c", THREAD_COUNTS, str(workspace["data"]),
          str(workspace["config"]), str(workspace["model"]), str(workspace["truth"]),
@@ -533,7 +541,36 @@ def test_only_training_starts_a_thread_and_at_most_one(workspace, tmp_path):
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     worker = 1 if len(os.sched_getaffinity(0)) > 1 else 0
-    assert json.loads(done.stdout.splitlines()[-1]) == [1, 1, 1, 1 + worker, 1 + worker]
+    # import and eval start no thread; parse starts the worker, and the two
+    # trainings reuse it
+    assert json.loads(done.stdout.splitlines()[-1]) == [1, 1, 1, 1 + worker, 1 + worker,
+                                                        1 + worker]
+
+
+@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
+                    reason="needs a second CPU for the worker")
+@pytest.mark.parametrize("error, code", [(ShapeError("scored on the worker"), 4),
+                                         (OSError("scored on the worker"), 2)])
+def test_parse_keeps_its_exit_code_when_a_chunk_fails_on_the_worker(
+        workspace, tmp_path, monkeypatch, error, code):
+    worker_started = threading.Event()
+    predict = Model.predict_masked_batch
+
+    def fails_on_worker(self, samples):
+        if threading.current_thread().name == "nulog-worker":
+            worker_started.set()
+            raise error
+        # hold the calling thread until the worker has taken a chunk
+        worker_started.wait(timeout=30)
+        return predict(self, samples)
+
+    monkeypatch.setattr(Model, "predict_masked_batch", fails_on_worker)
+    monkeypatch.setattr(extraction, "CHUNK_ELEMS", 1)  # one input per chunk
+    out = tmp_path / "p.csv"
+    assert main(["parse", "--data", str(workspace["data"]), "--model",
+                 str(workspace["model"]), "--out", str(out)]) == code
+    assert worker_started.is_set()
+    assert not out.exists()
 
 
 def write_alert_log(path):

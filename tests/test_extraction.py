@@ -1,15 +1,20 @@
 """Top-epsilon constancy rule, template assembly, and corpus grouping."""
 import logging
 import math
+import os
+import sys
+import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nulog.errors import ValidationError
-from nulog import masking
-from nulog.extraction import MASK_CHUNK, PLACEHOLDER, constant_masks, parse_corpus
-from nulog.model import ModelConfig, train
+from nulog.errors import ShapeError, ValidationError
+from nulog import extraction, masking, numerics
+from nulog.extraction import (PLACEHOLDER, chunk_rows, constant_masks,
+                              parse_corpus)
+from nulog.model import Model, ModelConfig, train
 from nulog.tokenizer import (CLS_ID, PAD_ID, UNK_ID, WHITESPACE_FILTER,
                              TokenSequence, build_vocabulary,
                              compute_frame_length, frame, tokenize)
@@ -17,6 +22,10 @@ from nulog.tokenizer import (CLS_ID, PAD_ID, UNK_ID, WHITESPACE_FILTER,
 
 class StubModel:
     """Answers mask queries from a fixed per-target probability recipe."""
+
+    # the dims extraction.chunk_rows reads: 1,280 inputs per forward pass
+    config = ModelConfig(vocab_size=1, frame_length=1)
+    head_out = 1
 
     def __init__(self, vocab_size, constant_ids):
         self.vocab_size = vocab_size
@@ -51,6 +60,10 @@ def framed_corpus(messages):
 
 class FixedRowStub:
     """Answers every masked input with the same probability row."""
+
+    # the dims extraction.chunk_rows reads: 1,280 inputs per forward pass
+    config = ModelConfig(vocab_size=1, frame_length=1)
+    head_out = 1
 
     def __init__(self, row):
         self.row = np.asarray(row)
@@ -165,6 +178,7 @@ class RecordingModel:
 
     def __init__(self, model):
         self.model = model
+        self.config, self.head_out = model.config, model.head_out
         self.calls = []
         self.inputs = []
 
@@ -174,8 +188,15 @@ class RecordingModel:
         return self.model.predict_masked_batch(samples)
 
 
+def set_chunk_rows(monkeypatch, model, rows):
+    """Make chunk_rows(model) give rows."""
+    width = max(model.config.frame_length * model.config.d, model.head_out)
+    monkeypatch.setattr(extraction, "CHUNK_ELEMS", rows * width)
+    assert chunk_rows(model) == rows
+
+
 class TestConstantMasks:
-    def test_shared_masked_inputs_are_scored_once(self):
+    def test_shared_masked_inputs_are_scored_once(self, monkeypatch):
         # a one-variable template: masking the variable gives every line the
         # same input, held by more samples than one chunk ranks at a time
         seqs, vocab = framed_corpus(
@@ -185,6 +206,7 @@ class TestConstantMasks:
                              d=16, heads=2, ffn_hidden=32, epochs=2,
                              batch_size=32, seed=7)
         model = train(seqs, config, vocab=vocab)
+        set_chunk_rows(monkeypatch, model, 256)
         samples = [s.input_ids.tobytes()
                    for seq in seqs for s in masking.enumerate_masks(seq)]
         distinct = set(samples)
@@ -195,13 +217,14 @@ class TestConstantMasks:
             batched, scored = constant_masks(recorder, seqs, epsilon)
             assert scored == len(distinct)
             assert sorted(recorder.inputs) == sorted(distinct)
-            assert recorder.calls == [MASK_CHUNK, MASK_CHUNK, len(distinct) - 2 * MASK_CHUNK]
+            # chunks run on either thread, in either order
+            assert sorted(recorder.calls) == sorted([256, 256, len(distinct) - 2 * 256])
             for seq, mask in zip(seqs, batched):
                 assert np.array_equal(mask, mask_alone(model, seq, epsilon))
             verdicts.update(np.concatenate(batched).tolist())
         assert verdicts == {True, False}
 
-    def test_batched_equals_per_message_across_chunks(self):
+    def test_batched_equals_per_message_across_chunks(self, monkeypatch):
         # more masked samples than one chunk holds, an empty message and
         # tokens the vocabulary has never seen
         train_seqs, vocab = framed_corpus(
@@ -211,11 +234,12 @@ class TestConstantMasks:
                              d=16, heads=2, ffn_hidden=32, blocks=2, epochs=2,
                              batch_size=8, seed=7)
         model = train(train_seqs, config, vocab=vocab)
+        set_chunk_rows(monkeypatch, model, 64)
         seqs = list(train_seqs)
         seqs.insert(5, frame([], frame_length, vocab, message_index=100))
         seqs.insert(11, frame(["node", "n9", "sent", "zzz", "packets"], frame_length,
                               vocab, message_index=101))
-        assert sum(len(s.tokens) for s in seqs) > MASK_CHUNK
+        assert sum(len(s.tokens) for s in seqs) > 64
         assert UNK_ID in seqs[11].framed_ids
         verdicts = set()
         for epsilon in (1, 3, 8):
@@ -229,14 +253,15 @@ class TestConstantMasks:
             assert not batched[11][3]
         assert verdicts == {True, False}
 
-    def test_one_forward_call_per_chunk(self):
+    def test_one_forward_call_per_chunk(self, monkeypatch):
         seqs, vocab = framed_corpus([f"w{i} x{i} y{i}" for i in range(200)])
         model = CountingStub(len(vocab), set())
+        set_chunk_rows(monkeypatch, model, 256)
         constant_masks(model, seqs, epsilon=1)
         samples = 3 * len(seqs)
-        assert len(model.calls) == math.ceil(samples / MASK_CHUNK)
+        assert len(model.calls) == math.ceil(samples / 256)
         assert sum(model.calls) == samples
-        assert max(model.calls) == MASK_CHUNK
+        assert max(model.calls) == 256
 
     def test_empty_input(self):
         model = CountingStub(8, set())
@@ -244,6 +269,127 @@ class TestConstantMasks:
         assert model.calls == []
         with pytest.raises(ValidationError):
             constant_masks(model, [], epsilon=0)
+
+
+class TestChunkRows:
+    def test_a_longer_frame_gets_fewer_rows(self):
+        short = Model(ModelConfig(vocab_size=100, frame_length=10))
+        long = Model(ModelConfig(vocab_size=100, frame_length=47))
+        assert chunk_rows(short) == extraction.CHUNK_ELEMS // (10 * 256)
+        assert chunk_rows(long) == extraction.CHUNK_ELEMS // (47 * 256)
+        assert chunk_rows(long) < chunk_rows(short)
+
+    def test_a_wide_head_gets_fewer_rows_and_never_none(self):
+        config = ModelConfig(vocab_size=100, frame_length=10)
+        assert chunk_rows(SimpleNamespace(config=config, head_out=20_000)) == \
+            extraction.CHUNK_ELEMS // 20_000
+        assert chunk_rows(SimpleNamespace(config=config, head_out=10 ** 9)) == 1
+
+
+def two_cpus():
+    return len(os.sched_getaffinity(0)) > 1
+
+
+class TestChunksOnBothThreads:
+    """Chunks are numerics tasks: the worker thread takes some when the
+    process has two CPUs, and the masks must not depend on who ran what."""
+
+    @staticmethod
+    def corpus_and_model():
+        # a popular masked input (the variable of "session * opened") held
+        # by more samples than a chunk ranks at a time, many distinct inputs
+        # and an unknown token
+        messages = ([f"session s{i} opened" for i in range(60)]
+                    + [f"node n{i % 7} sent {i % 5} packets to host h{i}" for i in range(30)])
+        seqs, vocab = framed_corpus(messages)
+        frame_length = len(seqs[0].framed_ids)
+        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
+                             d=16, heads=2, ffn_hidden=32, epochs=2, batch_size=16,
+                             seed=3)
+        model = train(seqs, config, vocab=vocab)
+        seqs.append(frame(["session", "zzz", "opened"], frame_length, vocab,
+                          message_index=len(seqs)))
+        return seqs, model
+
+    @pytest.mark.parametrize("switch_interval", [None, 1e-5])
+    def test_worker_on_and_off_give_bitwise_equal_masks(self, monkeypatch,
+                                                        switch_interval):
+        seqs, model = self.corpus_and_model()
+        set_chunk_rows(monkeypatch, model, 7)
+        ran_on = []
+        run_task = numerics._run_task
+        monkeypatch.setattr(numerics, "_run_task", lambda task, lane: (
+            ran_on.append(threading.current_thread().name), run_task(task, lane)))
+
+        def masks_and_rows():
+            # every probability row the model gave, keyed by its masked input
+            recorder = RecordingModel(model)
+            rows = {}
+            predict = recorder.predict_masked_batch
+
+            def record(samples):
+                probabilities = predict(samples)
+                for sample, row in zip(samples, probabilities):
+                    rows[sample.input_ids.tobytes()] = row.tobytes()
+                return probabilities
+
+            recorder.predict_masked_batch = record
+            masks, scored = constant_masks(recorder, seqs, epsilon=3)
+            assert sum(recorder.calls) == len(rows) == scored
+            return masks, rows
+
+        interval = sys.getswitchinterval()
+        if switch_interval is not None:
+            sys.setswitchinterval(switch_interval)  # hand over the interpreter often
+        try:
+            both, rows_both = masks_and_rows()
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rows_both) > 10 * 7
+        assert len(ran_on) == math.ceil(len(rows_both) / 7)
+        if two_cpus():
+            assert "nulog-worker" in ran_on
+        # one CPU: a fresh worker never starts its thread
+        one_cpu = numerics._Worker()
+        monkeypatch.setattr(numerics, "_worker", one_cpu)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        ran_on.clear()
+        alone, rows_alone = masks_and_rows()
+        assert one_cpu._thread is None
+        assert set(ran_on) == {threading.current_thread().name}
+        assert rows_both == rows_alone
+        assert len(both) == len(alone) == len(seqs)
+        for a, b in zip(both, alone):
+            assert a.dtype == b.dtype == bool
+            assert np.array_equal(a, b)
+        assert not alone[-1][1]  # the unknown token
+        popular = [m[1] for m in alone[:60]]
+        assert len(set(popular)) == 1
+
+    @pytest.mark.skipif(not two_cpus(), reason="needs a second CPU for the worker")
+    def test_a_chunk_error_on_the_worker_surfaces_with_its_type(self, monkeypatch):
+        seqs, vocab = framed_corpus([f"w{i} x{i} y{i}" for i in range(20)])
+        worker_started = threading.Event()
+
+        class FailsOnWorker(StubModel):
+            def predict_masked_batch(self, samples):
+                if threading.current_thread().name == "nulog-worker":
+                    worker_started.set()
+                    raise ShapeError("scored on the worker")
+                # hold the calling thread until the worker has taken a chunk
+                worker_started.wait(timeout=30)
+                return super().predict_masked_batch(samples)
+
+        model = FailsOnWorker(len(vocab), set())
+        set_chunk_rows(monkeypatch, model, 5)
+        with pytest.raises(ShapeError, match="scored on the worker"):
+            constant_masks(model, seqs, epsilon=1)
+        assert worker_started.is_set()
+        # the worker lives on and nothing of the failed call is left queued
+        healthy = CountingStub(len(vocab), set())
+        masks, _ = constant_masks(healthy, seqs, epsilon=1)
+        assert sum(healthy.calls) == 3 * len(seqs)
+        assert all(not m.any() for m in masks)
 
 
 def extract(model, seq, epsilon):

@@ -465,7 +465,7 @@ class TestOverlappedAdam:
             assert np.array_equal(opt_o.v[name], opt_s.v[name]), name
             assert t.grad is None
         if len(os.sched_getaffinity(0)) > 1:
-            assert "nulog-adam" in ran_on
+            assert "nulog-worker" in ran_on
 
 
 class TestFullModelGradient:

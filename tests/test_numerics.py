@@ -3,7 +3,11 @@
 Gradient correctness is judged against central finite differences computed
 on float64 copies; nothing here trusts the tape to check the tape.
 """
+import _thread
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -218,6 +222,32 @@ class TestBackwardHandDerived:
         assert out._parents == ()
         with pytest.raises(ValidationError):
             out.backward()
+
+
+class TestGradModePerThread:
+    def test_a_thread_leaving_no_grad_leaves_the_other_inside_it(self):
+        other_inside, main_left = threading.Event(), threading.Event()
+        taped_inside_other = []
+
+        def other():
+            with no_grad():
+                other_inside.set()
+                main_left.wait(timeout=30)
+                a = Tensor(np.ones((2, 2)), requires_grad=True)
+                taped_inside_other.append(sum_all(matmul(a, a))._parents != ())
+
+        thread = threading.Thread(target=other)
+        with no_grad():
+            thread.start()
+            other_inside.wait(timeout=30)
+        main_left.set()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert taped_inside_other == [False]
+        # the other thread left no_grad last; this one trains as before
+        a = Tensor(np.ones((2, 2), dtype=np.float64), requires_grad=True)
+        sum_all(matmul(a, a)).backward()
+        assert np.array_equal(a.grad, np.full((2, 2), 4.0))
 
 
 class TestOnFinal:
@@ -652,3 +682,136 @@ class TestOptimizer:
         state = OptimizerState(param_set(w=np.zeros((1, 1))))
         assert (state.learning_rate, state.beta1, state.beta2, state.eps) == \
             (1e-3, 0.9, 0.999, 1e-8)
+
+
+def two_cpus():
+    return len(os.sched_getaffinity(0)) > 1
+
+
+def nothing_left(worker):
+    return worker._pending == 0 and worker._tasks.empty() and worker._done.empty()
+
+
+class TestRunTasks:
+    def test_every_task_runs_once_and_the_first_error_surfaces(self):
+        ran = []
+
+        def task(i, lane):
+            ran.append(i)
+            if i in (3, 5):
+                raise ShapeError(f"task {i}")
+
+        with pytest.raises(ShapeError, match=r"task [35]"):
+            numerics.run_tasks(lambda lane, i=i: task(i, lane) for i in range(40))
+        assert sorted(ran) == list(range(40))
+        assert nothing_left(numerics._worker)
+
+    def test_on_one_cpu_the_calling_thread_runs_every_task(self, monkeypatch):
+        worker = numerics._Worker()
+        monkeypatch.setattr(numerics, "_worker", worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        ran = []
+        numerics.run_tasks(lambda lane, i=i: ran.append((i, lane)) for i in range(5))
+        assert ran == [(i, 0) for i in range(5)]
+        assert worker._thread is None
+
+    @pytest.mark.skipif(not two_cpus(), reason="needs a second CPU for the worker")
+    def test_a_base_exception_on_the_worker_reaches_the_caller_and_it_lives_on(self):
+        class Stop(BaseException):
+            pass
+
+        taken = threading.Event()
+
+        def task(lane):
+            if lane == 1:
+                taken.set()
+                raise Stop()
+            taken.wait(timeout=30)  # leave the other task to the worker
+
+        outcome = []
+
+        def caller():
+            try:
+                numerics.run_tasks([task, task])
+            except Stop:
+                outcome.append("stopped")
+            ran = []
+            numerics.run_tasks(lambda lane, i=i: ran.append(i) for i in range(20))
+            outcome.append(sorted(ran))
+
+        # on a thread of its own, so a dead worker fails the test instead of
+        # leaving it waiting forever
+        thread = threading.Thread(target=caller, daemon=True)
+        thread.start()
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert taken.is_set()
+        assert outcome == ["stopped", list(range(20))]
+        assert numerics._worker._thread.is_alive()
+        assert nothing_left(numerics._worker)
+
+    def test_an_interrupt_inside_a_task_leaves_no_task_queued(self, monkeypatch):
+        # one CPU, so the calling thread runs the interrupted task and the
+        # eleven behind it would have stayed queued
+        worker = numerics._Worker()
+        monkeypatch.setattr(numerics, "_worker", worker)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        ran = []
+
+        def interrupt(lane):
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            numerics.run_tasks([interrupt] + [lambda lane: ran.append(1)] * 11)
+        assert ran == []
+        assert nothing_left(worker)
+        numerics.run_tasks([lambda lane: ran.append(2)])
+        assert ran == [2]
+
+    @pytest.mark.skipif(not two_cpus(), reason="needs a second CPU for the worker")
+    def test_an_interrupted_wait_drops_the_queue_and_waits_for_the_worker(self):
+        running, ran = [], []
+        interrupted = []
+
+        def task(lane):
+            if lane == 0:
+                time.sleep(0.01)
+                ran.append(lane)
+                return
+            running.append(lane)
+            if not interrupted:
+                interrupted.append(True)
+                _thread.interrupt_main()  # KeyboardInterrupt on the calling thread
+            time.sleep(0.01)
+            ran.append(lane)
+            running.pop()
+
+        with pytest.raises(KeyboardInterrupt):
+            numerics.run_tasks([task] * 50)
+        assert interrupted
+        assert running == []  # the worker's task finished before run_tasks left
+        assert len(ran) < 50
+        assert nothing_left(numerics._worker)
+        ran.clear()
+        numerics.run_tasks(lambda lane, i=i: ran.append(i) for i in range(10))
+        assert sorted(ran) == list(range(10))
+
+    def test_an_interrupted_adam_step_leaves_nothing_for_the_next_one(self, monkeypatch):
+        params = param_set(**{f"w{i}": np.ones((4, 3)) for i in range(6)})
+        state = OptimizerState(params)
+        for t in params.values():
+            t.grad = np.ones_like(t.data)
+        adam = numerics._adam
+
+        def interrupted_once(*args):
+            monkeypatch.setattr(numerics, "_adam", adam)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(numerics, "_adam", interrupted_once)
+        with pytest.raises(KeyboardInterrupt):
+            optimizer_step(params, state)
+        assert nothing_left(numerics._worker)
+        for t in params.values():
+            t.grad = np.ones_like(t.data)
+        optimizer_step(params, state)
+        assert nothing_left(numerics._worker)
