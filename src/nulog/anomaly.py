@@ -9,7 +9,7 @@ train_epoch as pretraining.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,8 +18,7 @@ from .extraction import constant_masks
 from .ingest import ANOMALY, NORMAL, LogRecord
 from .model import Model, ModelConfig, train, train_epoch
 from .numerics import OptimizerState
-from .tokenizer import (TokenSequence, build_vocabulary, compile_filter,
-                        compute_frame_length, frame, tokenize)
+from .tokenizer import TokenSequence, compile_filter, frame, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -31,34 +30,30 @@ DELTA_GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))
 
 @dataclass
 class AnomalyConfig:
-    """Study parameters: surprise threshold, split, and training lengths."""
+    """Study parameters: surprise threshold, split and fine-tuning length,
+    plus the model that pretraining fits (3 epochs and the alert-log filter
+    by default)."""
 
-    epsilon: int = ModelConfig.epsilon
     delta: float = 0.5
     train_fraction: float = 0.8
-    epochs_unsupervised: int = 3
     epochs_finetune: int = 2
-    seed: int = ModelConfig.seed
-    tokenization_filter: str = DEFAULT_FILTER
     normal_only: bool = False
-    d: int = ModelConfig.d
-    heads: int = ModelConfig.heads
-    ffn_hidden: int = ModelConfig.ffn_hidden
-    blocks: int = ModelConfig.blocks
-    batch_size: int = ModelConfig.batch_size
-    learning_rate: float = ModelConfig.learning_rate
+    model: ModelConfig = field(default_factory=lambda: ModelConfig(
+        epochs=3, tokenization_filter=DEFAULT_FILTER))
 
     def __post_init__(self) -> None:
-        if self.epsilon <= 0:
-            raise ValidationError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 <= self.delta <= 1.0:
             raise ValidationError(f"delta must be in [0, 1], got {self.delta}")
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError(
                 f"train_fraction must be in (0, 1), got {self.train_fraction}")
-        if self.epochs_unsupervised < 0 or self.epochs_finetune < 0:
-            raise ValidationError("epoch counts must be >= 0")
-        compile_filter(self.tokenization_filter)
+        if self.epochs_finetune < 0:
+            raise ValidationError(f"epochs_finetune must be >= 0, got {self.epochs_finetune}")
+
+    @property
+    def epochs_unsupervised(self) -> int:
+        """Pretraining epochs, the model's."""
+        return self.model.epochs
 
 
 @dataclass
@@ -139,46 +134,35 @@ def _split(records: list[LogRecord],
     return train_part, test_part
 
 
-def _prepare(records: list[LogRecord], config: AnomalyConfig):
-    """Tokenize everything; fit vocabulary and frame on the training side."""
-    pattern = compile_filter(config.tokenization_filter)
-    train_part, test_part = _split(records, config.train_fraction)
-    train_tokens = [tokenize(r.content, pattern) for r in train_part]
-    vocab = build_vocabulary(train_tokens)
-    frame_length = compute_frame_length(train_tokens)
-    train_seqs = [frame(toks, frame_length, vocab, message_index=r.line_id)
-                  for r, toks in zip(train_part, train_tokens)]
-    test_seqs = [frame(tokenize(r.content, pattern), frame_length, vocab,
-                       message_index=r.line_id) for r in test_part]
-    return train_part, test_part, train_seqs, test_seqs, vocab, frame_length
-
-
-def _pretrain(train_part, train_seqs, vocab, frame_length,
+def _pretrain(train_part: list[LogRecord], train_tokens: list[list[str]],
               config: AnomalyConfig) -> Model:
+    keep = None
     if config.normal_only:
-        kept = [s for s, r in zip(train_seqs, train_part) if r.label == NORMAL]
-        if not kept:
+        keep = [r.label == NORMAL for r in train_part]
+        if not any(keep):
             raise ValidationError("normal-only training requested but no normal lines")
-        train_seqs = kept
-    model_config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                               d=config.d, heads=config.heads,
-                               ffn_hidden=config.ffn_hidden, blocks=config.blocks,
-                               epochs=config.epochs_unsupervised,
-                               batch_size=config.batch_size,
-                               learning_rate=config.learning_rate, seed=config.seed,
-                               tokenization_filter=config.tokenization_filter,
-                               epsilon=config.epsilon)
-    return train(train_seqs, model_config, vocab=vocab)
+    return train(train_tokens, config.model, keep)
+
+
+def _prepare(records: list[LogRecord], config: AnomalyConfig):
+    """Split and tokenize; pretrain on the training side, then frame both
+    sides with the model's vocabulary."""
+    pattern = compile_filter(config.model.tokenization_filter)
+    train_part, test_part = _split(records, config.train_fraction)
+    tokens = [tokenize(r.content, pattern) for r in records]
+    cut = len(train_part)
+    model = _pretrain(train_part, tokens[:cut], config)
+    seqs = [frame(t, model.config.frame_length, model.vocab, message_index=r.line_id)
+            for r, t in zip(records, tokens)]
+    return model, train_part, test_part, seqs[:cut], seqs[cut:]
 
 
 def run_unsupervised_study(records: list[LogRecord],
                            config: AnomalyConfig) -> tuple[DetectionMetrics, list[Verdict]]:
     """Self-supervised route: pretrain on the early lines without labels,
     then flag late lines whose surprising-token share exceeds delta."""
-    train_part, test_part, train_seqs, test_seqs, vocab, frame_length = _prepare(
-        records, config)
-    model = _pretrain(train_part, train_seqs, vocab, frame_length, config)
-    fractions = token_anomaly_fractions(model, test_seqs, config.epsilon)
+    model, _, test_part, _, test_seqs = _prepare(records, config)
+    fractions = token_anomaly_fractions(model, test_seqs, config.model.epsilon)
     verdicts = [Verdict(line_id=record.line_id, fraction=fraction,
                         verdict=unsupervised_classify(fraction, config.delta),
                         label=record.label)
@@ -242,9 +226,7 @@ def run_supervised_study(records: list[LogRecord],
                          config: AnomalyConfig) -> tuple[DetectionMetrics, list[Verdict]]:
     """Pretrain without labels, fine-tune a two-way head on the train labels,
     then classify the held-out tail."""
-    train_part, test_part, train_seqs, test_seqs, vocab, frame_length = _prepare(
-        records, config)
-    pretrained = _pretrain(train_part, train_seqs, vocab, frame_length, config)
+    pretrained, train_part, test_part, train_seqs, test_seqs = _prepare(records, config)
     classifier = fine_tune_supervised(pretrained, train_seqs,
                                       [r.label for r in train_part],
                                       config.epochs_finetune)

@@ -15,13 +15,13 @@ import os
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 from . import anomaly, evaluation, extraction, ingest, persistence
 from .errors import ConfigError, ValidationError
 from .model import ModelConfig, train
-from .tokenizer import (WHITESPACE_FILTER, build_vocabulary, compile_filter,
-                        compute_frame_length, frame, tokenize)
+from .tokenizer import WHITESPACE_FILTER, compile_filter, frame, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -30,8 +30,8 @@ EXIT_CONFIG = 3
 EXIT_VALIDATION = 4
 
 # the encoder flags every training command takes: name -> help; each name
-# is a ModelConfig and an AnomalyConfig field and a manifest key, and its
-# default is ModelConfig's
+# is a ModelConfig field (detect's through AnomalyConfig.model) and a
+# manifest key, and its default is ModelConfig's
 MODEL_DIMS = {
     "d": "embedding width",
     "heads": "attention heads",
@@ -114,15 +114,9 @@ def cmd_train(args) -> int:
     records = ingest.load_loghub_csv(args.data)
     pattern = compile_filter(config.tokenization_filter)
     token_lists = [tokenize(r.content, pattern) for r in records]
-    vocab = build_vocabulary(token_lists)
-    frame_length = compute_frame_length(token_lists)
-    corpus = [frame(toks, frame_length, vocab, message_index=i)
-              for i, toks in enumerate(token_lists, start=1)]
-    model_config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                               epochs=config.epochs, seed=seed,
-                               tokenization_filter=config.tokenization_filter,
-                               epsilon=config.epsilon, **_model_dims(args))
-    model = train(corpus, model_config, vocab=vocab)
+    model = train(token_lists, ModelConfig(
+        epochs=config.epochs, seed=seed, tokenization_filter=config.tokenization_filter,
+        epsilon=config.epsilon, **_model_dims(args)))
     persistence.save_model(model, args.out_model)
     manifest = _write_manifest(
         args.out_model, "train", config.name,
@@ -132,13 +126,17 @@ def cmd_train(args) -> int:
             "epochs": config.epochs,
             "epsilon": config.epsilon,
             **_model_dims(args),
-            "frame_length": frame_length, "vocab_size": len(vocab),
+            "frame_length": model.config.frame_length,
+            "vocab_size": model.config.vocab_size,
             "final_loss": model.training_losses[-1] if model.training_losses else None,
             "losses": model.training_losses,
+            # a multi-threaded BLAS changes training's floats
+            "blas_threads": {name: os.environ.get(name) for name in (
+                "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         },
         seed, started, [args.out_model])
     log.info("trained on %d messages; archive %s, manifest %s",
-             len(corpus), args.out_model, manifest)
+             len(token_lists), args.out_model, manifest)
     return 0
 
 
@@ -253,10 +251,11 @@ def cmd_detect(args) -> int:
         raise ConfigError("--sweep applies to unsupervised mode only")
     seed = _resolve_seed(args.seed)
     records = ingest.load_labeled_bgl(args.data, fraction=args.fraction)
-    config = anomaly.AnomalyConfig(
-        epsilon=args.epsilon, delta=args.delta, seed=seed,
-        tokenization_filter=args.filter or anomaly.DEFAULT_FILTER,
-        normal_only=args.train_normal_only, **_model_dims(args))
+    model_config = replace(anomaly.AnomalyConfig().model, epsilon=args.epsilon, seed=seed,
+                           tokenization_filter=args.filter or anomaly.DEFAULT_FILTER,
+                           **_model_dims(args))
+    config = anomaly.AnomalyConfig(delta=args.delta, normal_only=args.train_normal_only,
+                                   model=model_config)
     if args.mode == "unsupervised":
         metrics, verdicts = anomaly.run_unsupervised_study(records, config)
     else:
@@ -289,7 +288,7 @@ def cmd_detect(args) -> int:
                      "epsilon": args.epsilon, "delta": args.delta,
                      "fraction": args.fraction,
                      "train_normal_only": args.train_normal_only,
-                     "tokenization_filter": config.tokenization_filter,
+                     "tokenization_filter": model_config.tokenization_filter,
                      **_model_dims(args)},
                     seed, started, outputs)
     log.info("%s detection: accuracy %.4f precision %.4f recall %.4f F1 %.4f",

@@ -163,25 +163,15 @@ def load_labeled_bgl(path: str | Path, fraction: float = 1.0) -> list[LogRecord]
         raise ValidationError(f"fraction must be in (0, 1], got {fraction}")
     path = Path(path)
     with open(path, encoding="utf-8", errors="replace") as fh:
-        total = sum(1 for line in fh if line.strip())
-    if total == 0:
+        lines = [raw.rstrip("\n") for raw in fh if raw.strip()]
+    if not lines:
         raise ValidationError(f"{path}: no log lines")
-    keep = max(1, int(total * fraction))
     records: list[LogRecord] = []
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split(None, 1)
-            alert = parts[0]
-            content = parts[1] if len(parts) > 1 else ""
-            label = NORMAL if alert == "-" else ANOMALY
-            records.append(LogRecord(line_id=len(records) + 1,
-                                     content=content, label=label))
-            if len(records) >= keep:
-                break
+    for line_id, line in enumerate(lines[:max(1, int(len(lines) * fraction))], start=1):
+        alert, content = (line.split(None, 1) + [""])[:2]
+        records.append(LogRecord(line_id, content,
+                                 label=NORMAL if alert == "-" else ANOMALY))
     log.info("loaded %d/%d lines from %s (%d anomalies)",
-             len(records), total, path.name,
+             len(records), len(lines), path.name,
              sum(1 for r in records if r.label == ANOMALY))
     return records

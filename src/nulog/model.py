@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import logging
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass
+from collections.abc import Mapping, Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from . import masking, numerics
 from .errors import ShapeError, ValidationError
 from .masking import MaskedSample
 from .numerics import OptimizerState, Tensor
-from .tokenizer import (WHITESPACE_FILTER, TokenSequence, Vocabulary,
-                        compile_filter)
+from .tokenizer import (WHITESPACE_FILTER, Vocabulary, build_vocabulary,
+                        compile_filter, compute_frame_length, frame)
 
 log = logging.getLogger(__name__)
 
@@ -38,10 +38,13 @@ log = logging.getLogger(__name__)
 @dataclass
 class ModelConfig:
     """Encoder dimensions, training knobs, and how the model parses: the
-    tokenization filter its vocabulary was built with and epsilon."""
+    tokenization filter its vocabulary was built with and epsilon.
 
-    vocab_size: int
-    frame_length: int
+    vocab_size and frame_length describe the corpus; train fills them in.
+    """
+
+    vocab_size: int | None = None
+    frame_length: int | None = None
     d: int = 256
     heads: int = 4
     ffn_hidden: int = 512
@@ -56,7 +59,7 @@ class ModelConfig:
     def __post_init__(self) -> None:
         for name in ("vocab_size", "frame_length", "d", "heads", "ffn_hidden",
                      "blocks", "batch_size", "epsilon"):
-            if getattr(self, name) <= 0:
+            if getattr(self, name) is not None and getattr(self, name) <= 0:
                 raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
@@ -98,6 +101,8 @@ class Model:
         """params, when given, maps each parameter_shapes name to its array,
         taken as is; otherwise the weights are drawn from rng (seeded with
         config.seed by default) in parameter order."""
+        if config.vocab_size is None or config.frame_length is None:
+            raise ValidationError("vocab_size and frame_length are unset; train sets them")
         self.config = config
         self.vocab = vocab
         self.dtype = np.dtype(dtype)
@@ -261,22 +266,41 @@ def train_epoch(model: Model, opt: OptimizerState, ids: np.ndarray,
         batch = ids[start:start + size]
         loss = numerics.cross_entropy(model.forward_logits(batch),
                                       targets[start:start + size])
-        # each parameter's Adam update starts once its gradient is final
-        loss.backward(on_final=opt.start_update)
-        numerics.optimizer_step(model.params, opt)
+        try:
+            # each parameter's Adam update starts once its gradient is final
+            loss.backward(on_final=opt.start_update)
+            numerics.optimizer_step(model.params, opt)
+        except BaseException:
+            # drop the interrupted step: its queued updates and its gradients
+            opt.cancel_step()
+            for t in model.params.values():
+                t.grad = None
+            raise
         total += float(loss.data) * len(batch)
     return total / len(ids)
 
 
-def train(corpus: list[TokenSequence], config: ModelConfig,
-          vocab: Vocabulary | None = None) -> Model:
-    """Train by masked-token prediction: one random mask per message per epoch.
+def train(token_lists: list[list[str]], config: ModelConfig,
+          keep: Sequence[bool] | None = None) -> Model:
+    """Fit a model to tokenized lines by masked-token prediction: one random
+    mask per line per epoch.
 
-    Sample order is reshuffled every epoch from the same seeded generator
-    that drew the initial weights, so a seed pins down the whole run.
+    The vocabulary and the frame length come from every line and fill the
+    config's vocab_size and frame_length; training reads the lines keep
+    selects, all of them by default. Sample order is reshuffled every epoch
+    from the same seeded generator that drew the initial weights, so a seed
+    pins down the whole run.
     """
-    if not corpus:
-        raise ValidationError("cannot train on an empty corpus")
+    if keep is None:
+        keep = [True] * len(token_lists)
+    elif len(keep) != len(token_lists):
+        raise ValidationError(f"got {len(keep)} keep flags for {len(token_lists)} lines")
+    vocab = build_vocabulary(token_lists)
+    config = replace(config, vocab_size=len(vocab),
+                     frame_length=compute_frame_length(token_lists))
+    corpus = [frame(tokens, config.frame_length, vocab, message_index=i)
+              for i, (tokens, kept) in enumerate(zip(token_lists, keep), start=1)
+              if kept]
     rng = np.random.default_rng(config.seed)
     model = Model(config, vocab=vocab, rng=rng)
     if config.epochs == 0:

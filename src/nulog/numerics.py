@@ -449,6 +449,12 @@ class OptimizerState:
         if name is not None and name not in self._queued:
             self._queue(name, t)
 
+    def cancel_step(self) -> None:
+        """Drop the open step's queued updates that no thread has started,
+        and forget what it queued; for a backward pass or step that raised."""
+        _worker.cancel()
+        self._queued = {}
+
     def _queue(self, name: str, t: Tensor) -> None:
         if not self._queued:
             self.step += 1

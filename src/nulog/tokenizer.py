@@ -70,9 +70,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self._id_to_token)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._token_to_id
-
     def add(self, token: str) -> int:
         """Insert a token if new; return its id either way."""
         existing = self._token_to_id.get(token)

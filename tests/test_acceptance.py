@@ -33,8 +33,7 @@ from nulog.numerics import (Tensor, cross_entropy, finite_difference_check,
                             softmax_rows)
 from nulog.persistence import load_model, save_model
 from nulog.tokenizer import (CLS_ID, PAD_ID, UNK_ID, TokenSequence,
-                             build_vocabulary, compile_filter,
-                             compute_frame_length, frame, tokenize)
+                             compile_filter, frame, tokenize)
 
 DATA_ROOT = Path(os.environ.get("NULOG_DATA_ROOT", "data"))
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -80,14 +79,12 @@ def run_benchmark(name: str, seed: int = 7):
     records = load_loghub_csv(structured_csv(name))
     pattern = compile_filter(config.tokenization_filter)
     token_lists = [tokenize(r.content, pattern) for r in records]
-    vocab = build_vocabulary(token_lists)
-    frame_length = compute_frame_length(token_lists)
-    seqs = [frame(toks, frame_length, vocab, message_index=r.line_id)
+    model = train(token_lists, ModelConfig(
+        epochs=config.epochs, seed=seed, tokenization_filter=config.tokenization_filter,
+        epsilon=config.epsilon))
+    seqs = [frame(toks, model.config.frame_length, model.vocab, message_index=r.line_id)
             for r, toks in zip(records, token_lists)]
-    model_config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                               epochs=config.epochs, seed=seed)
-    model = train(seqs, model_config, vocab=vocab)
-    parsed, _, _ = parse_corpus(model, seqs, config.epsilon)
+    parsed, _, _ = parse_corpus(model, seqs, model.config.epsilon)
     predicted = {r.line_id: p.template_id for r, p in zip(records, parsed)}
     truth = {r.line_id: r.event_id for r in records}
     pa = parsing_accuracy(predicted, truth)
@@ -166,7 +163,7 @@ def test_criterion_7_bgl_anomaly_detection():
     fraction = min(1.0, 20001 / total) if total > 20000 else 1.0
     records = load_labeled_bgl(raw, fraction=fraction)
     assert len(records) >= min(total, 20000)
-    config = AnomalyConfig(seed=7)
+    config = AnomalyConfig()
     unsup_metrics, _ = run_unsupervised_study(records, config)
     sup_metrics, _ = run_supervised_study(records, config)
     ok = unsup_metrics.f1 >= 0.90 and sup_metrics.f1 >= 0.95
@@ -298,15 +295,9 @@ def _check_threshold_monotonicity() -> str:
 def _check_archive_round_trip(tmp_path: Path) -> str:
     texts = ["alpha beta 11", "alpha beta 22", "gamma delta off", "gamma on"]
     pattern = compile_filter(r"([ ])")
-    token_lists = [tokenize(t, pattern) for t in texts]
-    vocab = build_vocabulary(token_lists)
-    frame_length = compute_frame_length(token_lists)
-    seqs = [frame(toks, frame_length, vocab, message_index=i)
-            for i, toks in enumerate(token_lists)]
-    config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                         d=8, heads=2, ffn_hidden=16, epochs=2, batch_size=4,
-                         seed=7)
-    model = train(seqs, config, vocab=vocab)
+    model = train([tokenize(t, pattern) for t in texts],
+                  ModelConfig(d=8, heads=2, ffn_hidden=16, epochs=2, batch_size=4,
+                              seed=7))
     first = tmp_path / "a.nulog"
     second = tmp_path / "b.nulog"
     save_model(model, first)
@@ -390,14 +381,10 @@ def test_criterion_9_synthetic_oracle_recovery():
     corpus = synth.make_corpus(per_template=100, seed=11)
     pattern = compile_filter(r"([ ])")
     token_lists = [tokenize(c, pattern) for c in corpus.contents]
-    vocab = build_vocabulary(token_lists)
-    frame_length = compute_frame_length(token_lists)
-    seqs = [frame(toks, frame_length, vocab, message_index=i + 1)
+    model = train(token_lists, ModelConfig(d=64, heads=4, ffn_hidden=128, blocks=1,
+                                           epochs=10, batch_size=32, seed=7))
+    seqs = [frame(toks, model.config.frame_length, model.vocab, message_index=i + 1)
             for i, toks in enumerate(token_lists)]
-    config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                         d=64, heads=4, ffn_hidden=128, blocks=1, epochs=10,
-                         batch_size=32, seed=7)
-    model = train(seqs, config, vocab=vocab)
     parsed, templates, _ = parse_corpus(model, seqs, epsilon=12)
     predicted = {i + 1: p.template_id for i, p in enumerate(parsed)}
     truth = {i + 1: event for i, event in enumerate(corpus.event_ids)}

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nulog.anomaly import (DELTA_GRID, AnomalyConfig, DetectionMetrics,
-                           Verdict, classify_supervised, compute_metrics,
-                           fine_tune_supervised, run_supervised_study,
-                           run_unsupervised_study, sweep_deltas,
-                           token_anomaly_fractions, unsupervised_classify, _split)
+from nulog.anomaly import (DEFAULT_FILTER, DELTA_GRID, AnomalyConfig,
+                           DetectionMetrics, Verdict, classify_supervised,
+                           compute_metrics, fine_tune_supervised,
+                           run_supervised_study, run_unsupervised_study,
+                           sweep_deltas, token_anomaly_fractions,
+                           unsupervised_classify, _prepare, _split)
 from nulog.errors import ConfigError, ValidationError
 from nulog.extraction import parse_corpus
 from nulog.ingest import ANOMALY, NORMAL, LogRecord
@@ -56,24 +57,35 @@ def make_seq(words, corpus_words=None):
 class TestAnomalyConfig:
     def test_defaults(self):
         config = AnomalyConfig()
-        assert config.epsilon == 50
+        assert config.model.epsilon == 50
         assert config.delta == 0.5
         assert config.train_fraction == 0.8
-        assert config.epochs_unsupervised == 3
+        assert config.epochs_unsupervised == config.model.epochs == 3
         assert config.epochs_finetune == 2
+        assert config.model.tokenization_filter == DEFAULT_FILTER
+        assert config.model == ModelConfig(epochs=3, tokenization_filter=DEFAULT_FILTER)
 
+    def test_no_field_repeats_a_model_field(self):
+        fields = set(AnomalyConfig.__dataclass_fields__)
+        assert fields == {"delta", "train_fraction", "epochs_finetune", "normal_only",
+                          "model"}
+        assert not fields & set(ModelConfig.__dataclass_fields__)
+
+    # the model's own values are checked where they live, in ModelConfig
     @pytest.mark.parametrize("kwargs", [
-        dict(epsilon=0),
+        dict(model=dict(epsilon=0)),
         dict(delta=-0.1),
         dict(delta=1.5),
         dict(train_fraction=0.0),
         dict(train_fraction=1.0),
-        dict(epochs_unsupervised=-1),
+        dict(model=dict(epochs=-1)),
         dict(epochs_finetune=-1),
-        dict(tokenization_filter="(["),
+        dict(model=dict(tokenization_filter="([")),
     ])
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises((ValidationError, ConfigError)):
+            if "model" in kwargs:
+                kwargs = dict(model=ModelConfig(**kwargs["model"]))
             AnomalyConfig(**kwargs)
 
 
@@ -134,18 +146,13 @@ class TestTokenAnomalyFraction:
         assert fraction == len(variables) / len(seq.tokens)
 
     def test_complement_holds_on_a_trained_model(self):
-        corpus_text = [f"job {i} finished ok" for i in range(12)]
         pattern = compile_filter(r"([ ])")
-        token_lists = [tokenize(t, pattern) for t in corpus_text]
-        vocab = build_vocabulary(token_lists)
-        frame_length = compute_frame_length(token_lists)
-        seqs = [frame(toks, frame_length, vocab, message_index=i)
+        token_lists = [tokenize(f"job {i} finished ok", pattern) for i in range(12)]
+        model = train(token_lists, ModelConfig(epochs=2, seed=7, **SMALL_DIMS))
+        seqs = [frame(toks, model.config.frame_length, model.vocab, message_index=i)
                 for i, toks in enumerate(token_lists)]
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             epochs=2, seed=7, **SMALL_DIMS)
-        model = train(seqs, config, vocab=vocab)
         for seq in seqs[:4]:
-            for epsilon in (1, 3, len(vocab)):
+            for epsilon in (1, 3, len(model.vocab)):
                 variables = variables_alone(model, seq, epsilon)
                 fraction = fraction_alone(model, seq, epsilon)
                 assert fraction == len(variables) / len(seq.tokens)
@@ -250,17 +257,19 @@ def signature_corpus():
     return records
 
 
-def study_config(**overrides):
-    base = dict(epsilon=12, delta=0.5, seed=7,
-                tokenization_filter=r"([ ])", **SMALL_DIMS)
-    base.update(overrides)
-    return AnomalyConfig(**base)
+def study_config(delta=0.5, normal_only=False, epochs_finetune=2, **model):
+    """A study of the whitespace-split corpora here; model overrides the
+    ModelConfig fields, epochs among them."""
+    base = dict(epsilon=12, seed=7, tokenization_filter=r"([ ])", **SMALL_DIMS)
+    base.update(model)
+    return AnomalyConfig(delta=delta, normal_only=normal_only,
+                         epochs_finetune=epochs_finetune, model=ModelConfig(**base))
 
 
 class TestUnsupervisedStudy:
     def test_separates_novel_messages(self):
         records = surprise_corpus()
-        config = study_config(epochs_unsupervised=6)
+        config = study_config(epochs=6)
         metrics, verdicts = run_unsupervised_study(records, config)
         assert metrics.f1 == 1.0
         assert metrics.accuracy == 1.0
@@ -272,7 +281,7 @@ class TestUnsupervisedStudy:
 
     def test_fractions_are_shares(self):
         records = surprise_corpus()
-        config = study_config(epochs_unsupervised=2)
+        config = study_config(epochs=2)
         _, verdicts = run_unsupervised_study(records, config)
         assert all(0.0 <= v.fraction <= 1.0 for v in verdicts)
 
@@ -281,7 +290,7 @@ class TestUnsupervisedStudy:
         records[44] = LogRecord(45, "", label=NORMAL)
         with caplog.at_level(logging.WARNING, logger="nulog.anomaly"):
             _, verdicts = run_unsupervised_study(records,
-                                                 study_config(epochs_unsupervised=1))
+                                                 study_config(epochs=1))
         assert "message 45 has no tokens; scoring it 0.0" in caplog.text
         empty = next(v for v in verdicts if v.line_id == 45)
         assert (empty.fraction, empty.verdict) == (0.0, NORMAL)
@@ -289,28 +298,25 @@ class TestUnsupervisedStudy:
     def test_normal_only_filter_changes_nothing_without_train_anomalies(self):
         records = surprise_corpus()
         metrics_a, _ = run_unsupervised_study(
-            records, study_config(epochs_unsupervised=2))
+            records, study_config(epochs=2))
         metrics_b, _ = run_unsupervised_study(
-            records, study_config(epochs_unsupervised=2, normal_only=True))
+            records, study_config(epochs=2, normal_only=True))
         assert metrics_a == metrics_b
 
 
 class TestFineTune:
     def pretrained(self, records, config):
-        from nulog.anomaly import _prepare, _pretrain
-        train_part, test_part, train_seqs, test_seqs, vocab, frame_length = _prepare(
-            records, config)
-        model = _pretrain(train_part, train_seqs, vocab, frame_length, config)
+        model, train_part, _, train_seqs, test_seqs = _prepare(records, config)
         return model, train_part, train_seqs, test_seqs
 
     def test_head_is_two_way_and_encoder_is_copied(self):
         records = signature_corpus()
-        config = study_config(epochs_unsupervised=1)
+        config = study_config(epochs=1)
         model, train_part, train_seqs, _ = self.pretrained(records, config)
         classifier = fine_tune_supervised(model, train_seqs,
                                           [r.label for r in train_part],
                                           epochs=0)
-        assert classifier.params["head.w"].data.shape == (config.d, 2)
+        assert classifier.params["head.w"].data.shape == (config.model.d, 2)
         assert classifier.params["head.b"].data.shape == (1, 2)
         for name, tensor in model.params.items():
             if not name.startswith("head."):
@@ -318,7 +324,7 @@ class TestFineTune:
 
     def test_training_moves_encoder_weights_too(self):
         records = signature_corpus()
-        config = study_config(epochs_unsupervised=1)
+        config = study_config(epochs=1)
         model, train_part, train_seqs, _ = self.pretrained(records, config)
         classifier = fine_tune_supervised(model, train_seqs,
                                           [r.label for r in train_part],
@@ -328,7 +334,7 @@ class TestFineTune:
 
     def test_same_pretrained_model_gives_bitwise_identical_weights(self):
         records = signature_corpus()
-        config = study_config(epochs_unsupervised=1)
+        config = study_config(epochs=1)
         model, train_part, train_seqs, _ = self.pretrained(records, config)
         labels = [r.label for r in train_part]
         a = fine_tune_supervised(model, train_seqs, labels, epochs=2)
@@ -339,7 +345,7 @@ class TestFineTune:
     def test_single_class_warns_and_proceeds(self, caplog):
         records = surprise_corpus()[:40]
         records.append(LogRecord(99, "tail line", label=NORMAL))
-        config = study_config(epochs_unsupervised=1)
+        config = study_config(epochs=1)
         model, train_part, train_seqs, _ = self.pretrained(records, config)
         with caplog.at_level(logging.WARNING):
             classifier = fine_tune_supervised(model, train_seqs,
@@ -350,14 +356,14 @@ class TestFineTune:
 
     def test_label_count_mismatch_rejected(self):
         records = signature_corpus()
-        config = study_config(epochs_unsupervised=1)
+        config = study_config(epochs=1)
         model, train_part, train_seqs, _ = self.pretrained(records, config)
         with pytest.raises(ValidationError):
             fine_tune_supervised(model, train_seqs, [NORMAL], epochs=1)
 
     def test_scores_are_probabilities(self):
         records = signature_corpus()
-        config = study_config(epochs_unsupervised=1)
+        config = study_config(epochs=1)
         model, train_part, train_seqs, test_seqs = self.pretrained(records, config)
         classifier = fine_tune_supervised(model, train_seqs,
                                           [r.label for r in train_part],
@@ -374,7 +380,7 @@ class TestSupervisedStudy:
         # fine-tuning needs a hotter optimizer than pretraining at this
         # corpus size: batch 8 gives 5 steps per epoch instead of 3
         records = signature_corpus()
-        config = study_config(epochs_unsupervised=3, epochs_finetune=6,
+        config = study_config(epochs=3, epochs_finetune=6,
                               learning_rate=1e-2, batch_size=8)
         metrics, verdicts = run_supervised_study(records, config)
         assert metrics.f1 == 1.0
@@ -383,7 +389,7 @@ class TestSupervisedStudy:
 
     def test_verdict_fraction_is_the_anomaly_score(self):
         records = signature_corpus()
-        config = study_config(epochs_unsupervised=1, epochs_finetune=2)
+        config = study_config(epochs=1, epochs_finetune=2)
         _, verdicts = run_supervised_study(records, config)
         for v in verdicts:
             assert 0.0 <= v.fraction <= 1.0

@@ -58,6 +58,16 @@ def framed_corpus(messages):
     return seqs, vocab
 
 
+def trained_corpus(messages, **config):
+    """A model trained on whitespace-tokenized messages, and the messages
+    framed with its vocabulary."""
+    token_lists = [tokenize(m, WHITESPACE_FILTER) for m in messages]
+    model = train(token_lists, ModelConfig(**config))
+    seqs = [frame(toks, model.config.frame_length, model.vocab, message_index=i)
+            for i, toks in enumerate(token_lists)]
+    return seqs, model
+
+
 class FixedRowStub:
     """Answers every masked input with the same probability row."""
 
@@ -137,17 +147,13 @@ class TestIsConstant:
 
 class TestConstantMask:
     def test_agrees_with_is_constant_on_a_trained_model(self):
-        seqs, vocab = framed_corpus(
-            [f"job j{i} finished with code {i % 3}" for i in range(16)])
-        frame_length = len(seqs[0].framed_ids)
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=16, heads=2, ffn_hidden=32, epochs=3,
-                             batch_size=8, seed=7)
-        model = train(seqs, config, vocab=vocab)
+        seqs, model = trained_corpus(
+            [f"job j{i} finished with code {i % 3}" for i in range(16)],
+            d=16, heads=2, ffn_hidden=32, epochs=3, batch_size=8, seed=7)
         for seq in seqs[:4]:
             samples = masking.enumerate_masks(seq)
             probs = model.predict_masked_batch(samples)
-            for epsilon in (1, 3, len(vocab)):
+            for epsilon in (1, 3, len(model.vocab)):
                 mask = mask_alone(model, seq, epsilon)
                 expected = [loop_rank(p, s.target_id) < epsilon
                             for p, s in zip(probs, samples)]
@@ -199,13 +205,9 @@ class TestConstantMasks:
     def test_shared_masked_inputs_are_scored_once(self, monkeypatch):
         # a one-variable template: masking the variable gives every line the
         # same input, held by more samples than one chunk ranks at a time
-        seqs, vocab = framed_corpus(
-            [f"session s{i} opened" for i in range(300)] + ["session s7 opened"])
-        frame_length = len(seqs[0].framed_ids)
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=16, heads=2, ffn_hidden=32, epochs=2,
-                             batch_size=32, seed=7)
-        model = train(seqs, config, vocab=vocab)
+        seqs, model = trained_corpus(
+            [f"session s{i} opened" for i in range(300)] + ["session s7 opened"],
+            d=16, heads=2, ffn_hidden=32, epochs=2, batch_size=32, seed=7)
         set_chunk_rows(monkeypatch, model, 256)
         samples = [s.input_ids.tobytes()
                    for seq in seqs for s in masking.enumerate_masks(seq)]
@@ -227,13 +229,10 @@ class TestConstantMasks:
     def test_batched_equals_per_message_across_chunks(self, monkeypatch):
         # more masked samples than one chunk holds, an empty message and
         # tokens the vocabulary has never seen
-        train_seqs, vocab = framed_corpus(
-            [f"node n{i % 7} sent {i % 5} packets to host h{i % 3}" for i in range(40)])
-        frame_length = len(train_seqs[0].framed_ids)
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=16, heads=2, ffn_hidden=32, blocks=2, epochs=2,
-                             batch_size=8, seed=7)
-        model = train(train_seqs, config, vocab=vocab)
+        train_seqs, model = trained_corpus(
+            [f"node n{i % 7} sent {i % 5} packets to host h{i % 3}" for i in range(40)],
+            d=16, heads=2, ffn_hidden=32, blocks=2, epochs=2, batch_size=8, seed=7)
+        vocab, frame_length = model.vocab, model.config.frame_length
         set_chunk_rows(monkeypatch, model, 64)
         seqs = list(train_seqs)
         seqs.insert(5, frame([], frame_length, vocab, message_index=100))
@@ -301,14 +300,10 @@ class TestChunksOnBothThreads:
         # and an unknown token
         messages = ([f"session s{i} opened" for i in range(60)]
                     + [f"node n{i % 7} sent {i % 5} packets to host h{i}" for i in range(30)])
-        seqs, vocab = framed_corpus(messages)
-        frame_length = len(seqs[0].framed_ids)
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=16, heads=2, ffn_hidden=32, epochs=2, batch_size=16,
-                             seed=3)
-        model = train(seqs, config, vocab=vocab)
-        seqs.append(frame(["session", "zzz", "opened"], frame_length, vocab,
-                          message_index=len(seqs)))
+        seqs, model = trained_corpus(messages, d=16, heads=2, ffn_hidden=32, epochs=2,
+                                     batch_size=16, seed=3)
+        seqs.append(frame(["session", "zzz", "opened"], model.config.frame_length,
+                          model.vocab, message_index=len(seqs)))
         return seqs, model
 
     @pytest.mark.parametrize("switch_interval", [None, 1e-5])
@@ -470,15 +465,8 @@ class TestParseCorpus:
             truth.append("start")
             messages.append(f"Stopped task t{rng.integers(10_000, 99_999)} fine")
             truth.append("stop")
-        token_lists = [tokenize(m, WHITESPACE_FILTER) for m in messages]
-        vocab = build_vocabulary(token_lists)
-        frame_length = compute_frame_length(token_lists)
-        seqs = [frame(t, frame_length, vocab, message_index=i)
-                for i, t in enumerate(token_lists)]
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=16, heads=2, ffn_hidden=32, epochs=50,
-                             batch_size=16, seed=7)
-        model = train(seqs, config, vocab=vocab)
+        seqs, model = trained_corpus(messages, d=16, heads=2, ffn_hidden=32,
+                                     epochs=50, batch_size=16, seed=7)
         # trained constants rank <= 1, once-seen variables rank >= 6 here
         parsed, templates, _ = parse_corpus(model, seqs, epsilon=4)
         assert len(templates) == 2

@@ -13,8 +13,7 @@ from nulog.errors import ConfigError, ShapeError, ValidationError
 from nulog.model import Model, ModelConfig, positional_encoding, train, train_epoch
 from nulog.numerics import (OptimizerState, Tensor, cross_entropy,
                             finite_difference_check)
-from nulog.tokenizer import (CLS_ID, build_vocabulary, compute_frame_length,
-                             frame, tokenize, WHITESPACE_FILTER)
+from nulog.tokenizer import CLS_ID, frame, tokenize, WHITESPACE_FILTER
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -24,14 +23,14 @@ def tiny_config(**overrides) -> ModelConfig:
     return ModelConfig(**base)
 
 
-def build_corpus(messages, frame_length=None):
+def fit(messages, **config):
+    """A model trained on whitespace-tokenized messages, and the messages
+    framed with its vocabulary."""
     token_lists = [tokenize(m, WHITESPACE_FILTER) for m in messages]
-    vocab = build_vocabulary(token_lists)
-    if frame_length is None:
-        frame_length = compute_frame_length(token_lists)
-    seqs = [frame(toks, frame_length, vocab, message_index=i)
+    model = train(token_lists, ModelConfig(**config))
+    seqs = [frame(toks, model.config.frame_length, model.vocab, message_index=i)
             for i, toks in enumerate(token_lists)]
-    return seqs, vocab, frame_length
+    return model, seqs
 
 
 def two_template_messages(n_per=40, seed=3):
@@ -339,78 +338,105 @@ class TestForwardLogits:
 
 class TestPredictMasked:
     def test_output_is_distribution(self):
-        seqs, vocab, frame_length = build_corpus(["alpha beta gamma", "alpha beta"])
-        config = tiny_config(vocab_size=len(vocab), frame_length=frame_length)
-        model = Model(config, vocab=vocab)
+        model, seqs = fit(["alpha beta gamma", "alpha beta"], d=8, heads=2,
+                          ffn_hidden=16, epochs=0)
         sample = masking.enumerate_masks(seqs[0])[1]
         probs = model.predict_masked_batch([sample])[0]
-        assert probs.shape == (len(vocab),)
+        assert probs.shape == (len(model.vocab),)
         assert np.all(probs >= 0)
         assert math.isclose(float(probs.sum()), 1.0, abs_tol=1e-6)
 
     def test_untrained_loss_near_log_vocab(self):
-        seqs, vocab, frame_length = build_corpus(
-            [f"msg number {i} with words w{i}" for i in range(30)])
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=16, heads=2, ffn_hidden=32, epochs=0, seed=7)
-        model = Model(config, vocab=vocab)
+        model, seqs = fit([f"msg number {i} with words w{i}" for i in range(30)],
+                          d=16, heads=2, ffn_hidden=32, epochs=0, seed=7)
+        vocab_size = len(model.vocab)
         samples = [masking.enumerate_masks(s)[0] for s in seqs]
         ids = np.stack([s.input_ids for s in samples])
         targets = np.array([s.target_id for s in samples])
         with numerics.no_grad():
             loss = float(cross_entropy(model.forward_logits(ids), targets).data)
-        assert abs(loss - math.log(len(vocab))) < 0.1 * math.log(len(vocab))
+        assert abs(loss - math.log(vocab_size)) < 0.1 * math.log(vocab_size)
 
     def test_constant_first_token_becomes_argmax_after_training(self):
         rng = np.random.default_rng(5)
         messages = [f"INFO event e{rng.integers(10_000, 99_999)} raised"
                     for _ in range(50)]
-        seqs, vocab, frame_length = build_corpus(messages)
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=16, heads=2, ffn_hidden=32, epochs=100,
-                             batch_size=16, seed=7)
-        model = train(seqs, config, vocab=vocab)
+        model, seqs = fit(messages, d=16, heads=2, ffn_hidden=32, epochs=100,
+                          batch_size=16, seed=7)
         sample = masking.enumerate_masks(seqs[0])[0]
         assert sample.position == 1
         probs = model.predict_masked_batch([sample])[0]
-        assert int(np.argmax(probs)) == vocab.encode("INFO")
+        assert int(np.argmax(probs)) == model.vocab.encode("INFO")
 
 
 class TestTrain:
     def test_loss_decreases_on_two_template_corpus(self):
-        seqs, vocab, frame_length = build_corpus(two_template_messages())
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=16, heads=2, ffn_hidden=32, epochs=8,
-                             batch_size=16, seed=7)
-        model = train(seqs, config, vocab=vocab)
+        model, _ = fit(two_template_messages(), d=16, heads=2, ffn_hidden=32,
+                       epochs=8, batch_size=16, seed=7)
         assert len(model.training_losses) == 8
         assert model.training_losses[-1] < model.training_losses[0]
 
     def test_zero_epochs_returns_initialization(self):
-        seqs, vocab, frame_length = build_corpus(["a b c", "a b d"])
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=8, heads=2, ffn_hidden=16, epochs=0, seed=13)
-        trained = train(seqs, config, vocab=vocab)
-        reference = Model(config, vocab=vocab,
-                          rng=np.random.default_rng(config.seed))
+        trained, _ = fit(["a b c", "a b d"], d=8, heads=2, ffn_hidden=16, epochs=0,
+                         seed=13)
+        reference = Model(trained.config, vocab=trained.vocab,
+                          rng=np.random.default_rng(13))
         for name in reference.params:
             assert np.array_equal(trained.params[name].data,
                                   reference.params[name].data)
         assert trained.training_losses == []
 
     def test_same_seed_gives_bitwise_identical_parameters(self):
-        seqs, vocab, frame_length = build_corpus(two_template_messages(n_per=10))
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=8, heads=2, ffn_hidden=16, epochs=3,
-                             batch_size=8, seed=21)
-        a = train(seqs, config, vocab=vocab)
-        b = train(seqs, config, vocab=vocab)
+        config = dict(d=8, heads=2, ffn_hidden=16, epochs=3, batch_size=8, seed=21)
+        a, _ = fit(two_template_messages(n_per=10), **config)
+        b, _ = fit(two_template_messages(n_per=10), **config)
         for name in a.params:
             assert np.array_equal(a.params[name].data, b.params[name].data)
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
             train([], tiny_config())
+
+    def test_vocabulary_and_frame_come_from_every_line(self):
+        token_lists = [["a", "b"], ["c", "d", "e", "f"], ["a", "g"]]
+        model = train(token_lists, tiny_config(vocab_size=None, frame_length=None))
+        assert model.vocab.tokens()[4:] == ["a", "b", "c", "d", "e", "f", "g"]
+        assert (model.config.vocab_size, model.config.frame_length) == (11, 6)
+        assert model.params["tok_emb"].data.shape == (11, 8)
+        # a config's corpus fields are replaced, not trusted
+        stale = train(token_lists, tiny_config(vocab_size=99, frame_length=40))
+        assert (stale.config.vocab_size, stale.config.frame_length) == (11, 6)
+
+    def test_keep_trains_on_the_selected_lines_only(self):
+        kept = [tokenize(m, WHITESPACE_FILTER) for m in two_template_messages(n_per=6)]
+        # dropped lines that add no token and no length: only the samples differ
+        lines = kept + kept[:5]
+        config = tiny_config(vocab_size=None, frame_length=None, epochs=2)
+        selected = train(lines, config, [True] * len(kept) + [False] * 5)
+        alone = train(kept, config)
+        everything = train(lines, config)
+        assert selected.training_losses == alone.training_losses
+        assert selected.training_losses != everything.training_losses
+        for name in alone.params:
+            assert np.array_equal(selected.params[name].data, alone.params[name].data)
+
+    def test_keep_leaves_the_vocabulary_and_frame_to_every_line(self):
+        lines = [["a", "b"], ["c", "d", "e", "f", "g"]]
+        model = train(lines, tiny_config(), [True, False])
+        assert model.vocab.encode("g") == 10
+        assert model.config.frame_length == 7
+
+    def test_keep_must_match_the_lines_and_select_one(self):
+        with pytest.raises(ValidationError, match="keep flags"):
+            train([["a"], ["b"]], tiny_config(), [True])
+        with pytest.raises(ValidationError, match="no maskable"):
+            train([["a"], ["b"]], tiny_config(), [False, False])
+
+    def test_model_needs_the_corpus_fields(self):
+        with pytest.raises(ValidationError, match="vocab_size and frame_length are unset"):
+            Model(ModelConfig(frame_length=5))
+        with pytest.raises(ValidationError, match="vocab_size and frame_length are unset"):
+            Model(ModelConfig(vocab_size=10))
 
 
 class TestOverlappedAdam:
@@ -466,6 +492,41 @@ class TestOverlappedAdam:
             assert t.grad is None
         if len(os.sched_getaffinity(0)) > 1:
             assert "nulog-worker" in ran_on
+
+
+    def test_an_interrupted_step_leaves_nothing_queued(self):
+        config = tiny_config()
+        model = Model(config, rng=np.random.default_rng(0))
+        opt = OptimizerState(model.params)
+        rng = np.random.default_rng(1)
+        ids = rng.integers(0, config.vocab_size, size=(4, config.frame_length))
+        ids[:, 0] = CLS_ID
+        targets = rng.integers(0, config.vocab_size, size=4)
+        start_update, finals = opt.start_update, []
+
+        def interrupt_the_second(t):
+            finals.append(t)
+            if len(finals) == 2:
+                raise KeyboardInterrupt
+            start_update(t)
+
+        opt.start_update = interrupt_the_second
+        with pytest.raises(KeyboardInterrupt):
+            train_epoch(model, opt, ids, targets)
+        assert numerics._worker._pending == 0
+        assert opt._queued == {}
+        assert all(t.grad is None for t in model.params.values())
+        before = {name: t.data.copy() for name, t in model.params.items()}
+        numerics.run_tasks([lambda lane: None])
+        for name, t in model.params.items():
+            assert np.array_equal(t.data, before[name]), name
+        del opt.start_update
+        queued, queue = [], opt._queue
+        opt._queue = lambda name, t: (queued.append(name), queue(name, t))
+        cross_entropy(model.forward_logits(ids), targets).backward()
+        numerics.optimizer_step(model.params, opt)
+        assert queued == list(model.params)
+        assert opt._queued == {}
 
 
 class TestFullModelGradient:

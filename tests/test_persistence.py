@@ -12,29 +12,25 @@ from nulog.errors import ArchiveError, ValidationError
 from nulog.masking import enumerate_masks
 from nulog.model import Model, ModelConfig, train
 from nulog.persistence import MAGIC, VERSION, load_model, save_model
-from nulog.tokenizer import (build_vocabulary, compile_filter,
-                             compute_frame_length, frame, tokenize)
+from nulog.tokenizer import compile_filter, frame, tokenize
 
 PATTERN = compile_filter(r"([ ])")
+TOKEN_LISTS = [tokenize(t, PATTERN) for t in
+               ["alpha beta 11", "alpha beta 22", "gamma delta off", "gamma on"]]
 
 
-def tiny_corpus():
-    texts = ["alpha beta 11", "alpha beta 22", "gamma delta off", "gamma on"]
-    token_lists = [tokenize(t, PATTERN) for t in texts]
-    vocab = build_vocabulary(token_lists)
-    frame_length = compute_frame_length(token_lists)
-    seqs = [frame(toks, frame_length, vocab, message_index=i)
-            for i, toks in enumerate(token_lists)]
-    return seqs, vocab, frame_length
+def untrained(**config) -> Model:
+    return train(TOKEN_LISTS, ModelConfig(d=8, heads=2, ffn_hidden=16, epochs=0,
+                                          **config))
 
 
 @pytest.fixture(scope="module")
 def trained():
-    seqs, vocab, frame_length = tiny_corpus()
-    config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                         d=8, heads=2, ffn_hidden=16, epochs=2, batch_size=4,
-                         seed=7)
-    return train(seqs, config, vocab=vocab), seqs
+    model = train(TOKEN_LISTS, ModelConfig(d=8, heads=2, ffn_hidden=16, epochs=2,
+                                           batch_size=4, seed=7))
+    seqs = [frame(toks, model.config.frame_length, model.vocab, message_index=i)
+            for i, toks in enumerate(TOKEN_LISTS)]
+    return model, seqs
 
 
 def expected_file_size(model: Model) -> int:
@@ -211,20 +207,14 @@ class TestSaveValidation:
             save_model(Model(config), tmp_path / "m.nulog")
 
     def test_vocab_size_mismatch_rejected(self, tmp_path):
-        seqs, vocab, frame_length = tiny_corpus()
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=8, heads=2, ffn_hidden=16)
-        model = Model(config, vocab=vocab)
-        vocab.add("brand-new-token")
+        model = untrained()
+        model.vocab.add("brand-new-token")
         with pytest.raises(ValidationError):
             save_model(model, tmp_path / "m.nulog")
 
     def test_config_scalar_beyond_u32_rejected(self, tmp_path):
-        seqs, vocab, frame_length = tiny_corpus()
-        config = ModelConfig(vocab_size=len(vocab), frame_length=frame_length,
-                             d=8, heads=2, ffn_hidden=16, seed=2 ** 32)
         with pytest.raises(ValidationError, match="seed"):
-            save_model(Model(config, vocab=vocab), tmp_path / "m.nulog")
+            save_model(untrained(seed=2 ** 32), tmp_path / "m.nulog")
 
 
 class TestLoadValidation:

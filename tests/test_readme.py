@@ -24,7 +24,7 @@ def test_library_snippet_parses_lines():
     parsed, templates = namespace["parsed"], namespace["templates"]
     assert len(parsed) == len(lines)
     assert all(0 <= p.template_id < len(templates) for p in parsed)
-    assert namespace["config"].frame_length == 7
+    assert namespace["model"].config.frame_length == 7
 
 
 def usage_blocks() -> list[str]:
