@@ -59,8 +59,9 @@ class ModelConfig:
     def __post_init__(self) -> None:
         for name in ("vocab_size", "frame_length", "d", "heads", "ffn_hidden",
                      "blocks", "batch_size", "epsilon"):
-            if getattr(self, name) is not None and getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValidationError(f"{name} must be positive, got {value}")
         if self.epochs < 0:
             raise ValidationError(f"epochs must be >= 0, got {self.epochs}")
         if self.d % self.heads != 0:
