@@ -155,7 +155,7 @@ def cmd_parse(args) -> int:
     token_lists = [tokenize(content, pattern) for content in first_line]
     corpus = [frame(toks, model.config.frame_length, model.vocab, message_index=i)
               for toks, i in zip(token_lists, first_line.values())]
-    parsed, templates, scored = extraction.parse_corpus(model, corpus, epsilon)
+    parsed, templates, built, scored = extraction.parse_corpus(model, corpus, epsilon)
     row_of = {content: (p.template_id, p.template,
                         json.dumps(p.variables, ensure_ascii=False))
               for content, p in zip(first_line, parsed)}
@@ -172,6 +172,7 @@ def cmd_parse(args) -> int:
                      "lines": len(records), "distinct_lines": len(corpus),
                      "masked_samples": sum(n * len(seq.tokens)
                                            for n, seq in zip(repeats, corpus)),
+                     "masked_inputs": built,
                      "masked_inputs_scored": scored,
                      "messages_truncated": _count_truncated(token_lists, corpus,
                                                             repeats)},

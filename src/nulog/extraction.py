@@ -3,15 +3,16 @@ only when the model ranks the true token inside the top epsilon candidates.
 
 constant_masks is the one place that applies that rule, to many messages at
 once, for parsing here and, as its complement, for anomaly scoring. The
-rule reads only a masked input and its true token, so each distinct masked
-input is scored once, whichever messages the input came from, in chunks of
-chunk_rows(model) distinct inputs, one forward pass per chunk. A chunk's
-verdicts depend on nothing outside it, so the chunks are numerics tasks
-that the calling thread and the worker thread take in turn. A message's
-result does not depend on which other messages share its chunks or its
-masked inputs, nor on which thread scored them. Tokens the rule rejects
-become the placeholder and their original text is reported as that
-message's variable list, in token order.
+rule reads only a masked input and its true token, so each distinct input
+of masking.enumerate_masks' index is scored once, whichever messages it
+came from, unless it hides only unknown tokens, in chunks of
+chunk_rows(model) inputs, one forward pass per chunk. A chunk's verdicts
+depend on nothing outside it, so the chunks are numerics tasks that the
+calling thread and the worker thread take in turn. A message's result
+does not depend on which other messages share its chunks or its masked
+inputs, nor on which thread scored them. Tokens the rule rejects become
+the placeholder and their original text is reported as that message's
+variable list, in token order.
 """
 from __future__ import annotations
 
@@ -31,11 +32,11 @@ log = logging.getLogger(__name__)
 
 PLACEHOLDER = "⟨*⟩"  # angle-bracketed star
 
-# elements of one chunk's widest array, 1.3 MB at float32: chunk_rows
+# elements of one chunk's widest array, 2.0 MB at float32: chunk_rows
 # divides it by the widest per-row width, so a chunk's memory does not grow
 # with the frame or the vocabulary. Each of the two threads holds one
 # chunk's arrays at a time, a few arrays of that size in a one-block encoder
-CHUNK_ELEMS = 327_680
+CHUNK_ELEMS = 491_520
 
 
 @dataclass
@@ -54,12 +55,13 @@ def _ranks(probabilities: np.ndarray, true_ids: np.ndarray) -> np.ndarray:
     Rank counts strictly-higher-probability tokens, with exact ties broken
     toward the smaller token id. Rank 0 means the true token wins outright.
     """
-    rows = np.arange(len(true_ids))
-    p_true = probabilities[rows, true_ids]
-    higher = (probabilities > p_true[:, None]).sum(axis=1)
-    tied_before = ((probabilities == p_true[:, None])
-                   & (np.arange(probabilities.shape[1]) < true_ids[:, None])).sum(axis=1)
-    return higher + tied_before
+    p_true = probabilities[np.arange(len(true_ids)), true_ids][:, None]
+    ranks = np.count_nonzero(probabilities > p_true, axis=1)
+    # the id pass runs only on rows where another token ties the true one
+    tied = np.flatnonzero(np.count_nonzero(probabilities == p_true, axis=1) > 1)
+    before = np.arange(probabilities.shape[1]) < true_ids[tied, None]
+    ranks[tied] += np.count_nonzero((probabilities[tied] == p_true[tied]) & before, axis=1)
+    return ranks
 
 
 def chunk_rows(model: Model) -> int:
@@ -71,59 +73,57 @@ def chunk_rows(model: Model) -> int:
 
 
 def constant_masks(model: Model, seqs: list[TokenSequence],
-                   epsilon: int) -> tuple[list[np.ndarray], int]:
+                   epsilon: int) -> tuple[list[np.ndarray], int, int]:
     """The constancy rule for each token of each message, in token order,
-    and the number of distinct masked inputs the model scored.
+    the number of distinct masked inputs built and the number scored.
 
     A token is constant when, masked, its true id ranks inside the top
-    epsilon candidates; an unknown token is never constant. The rank does
+    epsilon candidates; an unknown token is never constant, so an input
+    whose every sample hides an unknown token is not scored. The rank does
     not depend on epsilon, so growing epsilon only ever turns variables
-    into constants. Each distinct masked input goes to the model once and
-    every sample that shares it is ranked on its probability row, so a
-    message's result does not depend on which other messages share its
-    chunks or its masked inputs.
+    into constants. Each scored input goes to the model once and every
+    sample that shares it is ranked on its probability row, so a message's
+    result does not depend on which other messages share its chunks or its
+    masked inputs.
     """
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    index: dict[bytes, int] = {}
-    inputs: list[masking.MaskedSample] = []
-    input_of: list[int] = []
-    targets: list[int] = []
-    for seq in seqs:
-        for sample in masking.enumerate_masks(seq):
-            key = sample.input_ids.tobytes()
-            row = index.get(key)
-            if row is None:
-                row = index[key] = len(inputs)
-                inputs.append(sample)
-            input_of.append(row)
-            targets.append(sample.target_id)
-    rows = np.array(input_of, dtype=np.int64)
-    true_ids = np.array(targets, dtype=np.int64)
-    flat = true_ids != UNK_ID
-    # samples sorted by input: the samples of one chunk of inputs are one
-    # run of this order, so no two chunks write the same element of flat
+    masked = masking.enumerate_masks(seqs)
+    flat = masked.targets != UNK_ID
+    # rank the samples of known tokens only, on only the inputs they read
+    known = np.flatnonzero(flat)
+    scored, rows = np.unique(masked.input_of[known], return_inverse=True)
+    inputs = masked.inputs[scored]
     order = np.argsort(rows, kind="stable")
+    known, rows = known[order], rows[order]
+    # each input's first sample, in input order, and the others, by input:
+    # a chunk's others are one run of them, so no two chunks write the
+    # same element of flat
+    first = np.ones(len(rows), dtype=bool)
+    first[1:] = rows[1:] != rows[:-1]
+    heads, others, other_rows = known[first], known[~first], rows[~first]
     size = chunk_rows(model)
     starts = range(0, len(inputs), size)
-    bounds = np.searchsorted(rows[order], [*starts, len(inputs)])
+    bounds = np.searchsorted(other_rows, [*starts, len(inputs)])
 
-    def score_chunk(start: int, samples: np.ndarray, lane: int) -> None:
-        """Score inputs[start:start + size] in one forward pass and apply
-        the rule to their samples; writes flat[samples] alone."""
+    def score_chunk(start: int, lo: int, hi: int, lane: int) -> None:
+        """Score inputs[start:start + size] in one forward pass; rank their
+        heads on its rows in place and others[lo:hi] on gathered rows, size
+        at a time, so a popular input never gathers more than a chunk has."""
         probabilities = model.predict_masked_batch(inputs[start:start + size])
-        # rank size samples at a time, so a popular input held by many
-        # samples never gathers more rows than a chunk has
-        for first in range(0, len(samples), size):
-            part = samples[first:first + size]
-            ranks = _ranks(probabilities[rows[part] - start], true_ids[part])
-            flat[part] &= ranks < epsilon
+        samples = heads[start:start + size]
+        flat[samples] = _ranks(probabilities, masked.targets[samples]) < epsilon
+        for part in range(lo, hi, size):
+            end = min(part + size, hi)
+            samples = others[part:end]
+            own = probabilities[other_rows[part:end] - start]
+            flat[samples] = _ranks(own, masked.targets[samples]) < epsilon
 
-    numerics.run_tasks(partial(score_chunk, start, order[lo:hi])
+    numerics.run_tasks(partial(score_chunk, start, lo, hi)
                        for start, lo, hi in zip(starts, bounds, bounds[1:]))
     ends = np.cumsum([len(seq.tokens) for seq in seqs], dtype=np.int64)
     masks = [flat[end - len(seq.tokens):end] for seq, end in zip(seqs, ends)]
-    return masks, len(inputs)
+    return masks, len(masked.inputs), len(inputs)
 
 
 def _template(seq: TokenSequence, constant: np.ndarray) -> tuple[str, list[str]]:
@@ -134,15 +134,15 @@ def _template(seq: TokenSequence, constant: np.ndarray) -> tuple[str, list[str]]
 
 
 def parse_corpus(model: Model, corpus: list[TokenSequence], epsilon: int
-                 ) -> tuple[list[ParsedMessage], list[str], int]:
+                 ) -> tuple[list[ParsedMessage], list[str], int, int]:
     """Parse every message, scoring each distinct masked input once.
 
     Returns the parsed messages, the templates indexed by template id, and
-    the number of distinct masked inputs the model scored; template ids are
-    dense and follow first appearance. Identical token lists share every
-    masked input, so they always parse identically.
+    the numbers of distinct masked inputs built and scored; template ids
+    are dense and follow first appearance. Identical token lists share
+    every masked input, so they always parse identically.
     """
-    masks, scored = constant_masks(model, corpus, epsilon)
+    masks, built, scored = constant_masks(model, corpus, epsilon)
     template_ids: dict[str, int] = {}
     parsed: list[ParsedMessage] = []
     for seq, mask in zip(corpus, masks):
@@ -152,7 +152,8 @@ def parse_corpus(model: Model, corpus: list[TokenSequence], epsilon: int
                                         template, len(template_ids)),
                                     template=template,
                                     variables=variables))
-    log.info("scored %d messages: %d masked samples as %d distinct inputs "
-             "in %d forward calls", len(corpus), sum(m.size for m in masks),
-             scored, math.ceil(scored / chunk_rows(model)))
-    return parsed, list(template_ids), scored
+    log.info("scored %d messages: %d masked samples as %d distinct inputs, "
+             "%d of them scored in %d forward calls", len(corpus),
+             sum(m.size for m in masks), built, scored,
+             math.ceil(scored / chunk_rows(model)))
+    return parsed, list(template_ids), built, scored

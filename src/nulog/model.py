@@ -27,7 +27,6 @@ import numpy as np
 
 from . import masking, numerics
 from .errors import ShapeError, ValidationError
-from .masking import MaskedSample
 from .numerics import OptimizerState, Tensor
 from .tokenizer import (WHITESPACE_FILTER, Vocabulary, build_vocabulary,
                         compile_filter, compute_frame_length, frame)
@@ -252,9 +251,9 @@ class Model:
         logits /= logits.sum(axis=-1, keepdims=True)
         return logits
 
-    def predict_masked_batch(self, samples: list[MaskedSample]) -> np.ndarray:
-        """Vocabulary distributions for masked samples: (N, vocab)."""
-        return self.predict_proba(np.stack([s.input_ids for s in samples]))
+    def predict_masked_batch(self, ids: np.ndarray) -> np.ndarray:
+        """Vocabulary distributions for masked inputs: (N, T) ids -> (N, head_out)."""
+        return self.predict_proba(ids)
 
 
 def train_epoch(model: Model, opt: OptimizerState, ids: np.ndarray,

@@ -70,14 +70,14 @@ def save_model(model: Model, path: str | Path) -> None:
 
 
 class _Reader:
-    """Cursor over the archive bytes; running past the end is a format error."""
+    """Cursor handing out views, not copies, of the archive bytes; overruns are format errors."""
 
     def __init__(self, blob: bytes, path):
-        self.blob = blob
+        self.blob = memoryview(blob)
         self.offset = 0
         self.path = path
 
-    def take(self, count: int) -> bytes:
+    def take(self, count: int) -> memoryview:
         if self.offset + count > len(self.blob):
             raise ArchiveError(
                 f"{self.path}: truncated archive (needed {count} bytes at "
@@ -92,7 +92,7 @@ class _Reader:
     def utf8(self) -> str:
         length = self.u32()
         try:
-            return self.take(length).decode("utf-8")
+            return str(self.take(length), "utf-8")
         except UnicodeDecodeError as exc:
             raise ArchiveError(f"{self.path}: invalid UTF-8 string: {exc}") from exc
 
@@ -107,7 +107,7 @@ def load_model(path: str | Path) -> Model:
     and fine-tuned two-way heads reload cleanly.
     """
     reader = _Reader(Path(path).read_bytes(), path)
-    magic = reader.take(4)
+    magic = bytes(reader.take(4))
     if magic != MAGIC:
         raise ArchiveError(f"{path}: bad magic {magic!r}, expected {MAGIC!r}")
     version = reader.u32()

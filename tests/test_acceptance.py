@@ -21,13 +21,13 @@ import numpy as np
 import pytest
 
 import synth
+from stubs import ScoringStub
 from nulog.anomaly import AnomalyConfig, run_supervised_study, run_unsupervised_study
 from nulog.cli import main
 from nulog.evaluation import (levenshtein, mean_template_edit_distance,
                               parsing_accuracy)
 from nulog.extraction import constant_masks, parse_corpus
 from nulog.ingest import load_config, load_labeled_bgl, load_loghub_csv
-from nulog.masking import enumerate_masks
 from nulog.model import Model, ModelConfig, train
 from nulog.numerics import (Tensor, cross_entropy, finite_difference_check,
                             softmax_rows)
@@ -84,7 +84,7 @@ def run_benchmark(name: str, seed: int = 7):
         epsilon=config.epsilon))
     seqs = [frame(toks, model.config.frame_length, model.vocab, message_index=r.line_id)
             for r, toks in zip(records, token_lists)]
-    parsed, _, _ = parse_corpus(model, seqs, model.config.epsilon)
+    parsed = parse_corpus(model, seqs, model.config.epsilon)[0]
     predicted = {r.line_id: p.template_id for r, p in zip(records, parsed)}
     truth = {r.line_id: r.event_id for r in records}
     pa = parsing_accuracy(predicted, truth)
@@ -252,20 +252,6 @@ def _check_accuracy_oracle() -> str:
     return "group accuracy matches the brute-force oracle on 1000 assignments"
 
 
-class FixedRowModel:
-    """Answers every masked input with the same probability row."""
-
-    # the dims extraction.chunk_rows reads: 1,280 inputs per forward pass
-    config = ModelConfig(vocab_size=1, frame_length=1)
-    head_out = 1
-
-    def __init__(self, row):
-        self.row = row
-
-    def predict_masked_batch(self, samples):
-        return np.tile(self.row, (len(samples), 1))
-
-
 def slot_is_constant(probs, true_id, epsilon) -> bool:
     """constant_masks' verdict on a one-token message whose masked slot gets
     the distribution probs; word i of probs is vocabulary id UNK_ID + 1 + i,
@@ -273,7 +259,7 @@ def slot_is_constant(probs, true_id, epsilon) -> bool:
     seq = TokenSequence(message_index=0, tokens=["w"],
                         framed_ids=np.array([CLS_ID, UNK_ID + 1 + true_id, PAD_ID]))
     row = np.concatenate([np.zeros(UNK_ID + 1), probs])
-    masks, _ = constant_masks(FixedRowModel(row), [seq], epsilon)
+    masks, _, _ = constant_masks(ScoringStub(row), [seq], epsilon)
     return bool(masks[0][0])
 
 
@@ -385,7 +371,7 @@ def test_criterion_9_synthetic_oracle_recovery():
                                            epochs=10, batch_size=32, seed=7))
     seqs = [frame(toks, model.config.frame_length, model.vocab, message_index=i + 1)
             for i, toks in enumerate(token_lists)]
-    parsed, templates, _ = parse_corpus(model, seqs, epsilon=12)
+    parsed, templates, _, _ = parse_corpus(model, seqs, epsilon=12)
     predicted = {i + 1: p.template_id for i, p in enumerate(parsed)}
     truth = {i + 1: event for i, event in enumerate(corpus.event_ids)}
     pa = parsing_accuracy(predicted, truth)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stubs import ScoringStub
 from nulog.anomaly import (DEFAULT_FILTER, DELTA_GRID, AnomalyConfig,
                            DetectionMetrics, Verdict, classify_supervised,
                            compute_metrics, fine_tune_supervised,
@@ -22,20 +23,11 @@ from nulog.tokenizer import (build_vocabulary, compile_filter,
 SMALL_DIMS = dict(d=16, heads=2, ffn_hidden=32, batch_size=16)
 
 
-class IdRankStub:
-    """Fake predictor whose probabilities decrease with token id, so the
-    rank of every true token equals its id exactly."""
-
-    # the dims extraction.chunk_rows reads: 1,280 inputs per forward pass
-    config = ModelConfig(vocab_size=1, frame_length=1)
-    head_out = 1
-
-    def __init__(self, vocab_size: int):
-        row = np.linspace(1.0, 0.5, vocab_size)
-        self.row = row / row.sum()
-
-    def predict_masked_batch(self, samples):
-        return np.tile(self.row, (len(samples), 1))
+def id_rank_stub(vocab_size):
+    """A stub whose probabilities decrease with token id, so the rank of
+    every true token equals its id exactly."""
+    row = np.linspace(1.0, 0.5, vocab_size)
+    return ScoringStub(row / row.sum())
 
 
 def fraction_alone(model, seq, epsilon):
@@ -92,30 +84,30 @@ class TestAnomalyConfig:
 class TestTokenAnomalyFraction:
     def test_all_tokens_within_epsilon(self):
         seq, vocab = make_seq(["a", "b", "c", "d"])
-        stub = IdRankStub(len(vocab))
+        stub = id_rank_stub(len(vocab))
         assert fraction_alone(stub, seq, epsilon=len(vocab)) == 0.0
 
     def test_all_tokens_flagged_at_epsilon_one(self):
         # word ids start at 4, so every rank is at least 4
         seq, vocab = make_seq(["a", "b", "c", "d"])
-        stub = IdRankStub(len(vocab))
+        stub = id_rank_stub(len(vocab))
         assert fraction_alone(stub, seq, epsilon=1) == 1.0
 
     def test_partial_fraction(self):
         # ids 4..7; epsilon 7 flags only the last token
         seq, vocab = make_seq(["a", "b", "c", "d"])
-        stub = IdRankStub(len(vocab))
+        stub = id_rank_stub(len(vocab))
         assert fraction_alone(stub, seq, epsilon=7) == pytest.approx(0.25)
 
     def test_unknown_token_always_flagged(self):
         seq, vocab = make_seq(["a", "b", "zzz", "d"],
                               corpus_words=["a", "b", "c", "d"])
-        stub = IdRankStub(len(vocab))
+        stub = id_rank_stub(len(vocab))
         assert fraction_alone(stub, seq, epsilon=100) == pytest.approx(0.25)
 
     def test_empty_message_scores_zero_with_warning(self, caplog):
         seq, vocab = make_seq([], corpus_words=["a", "b"])
-        stub = IdRankStub(len(vocab))
+        stub = id_rank_stub(len(vocab))
         with caplog.at_level(logging.WARNING):
             assert fraction_alone(stub, seq, epsilon=3) == 0.0
         assert "no tokens" in caplog.text
@@ -124,7 +116,7 @@ class TestTokenAnomalyFraction:
         corpus_words = ["a", "b", "c", "d"]
         seqs = [make_seq(words, corpus_words)[0]
                 for words in (["a", "b", "c", "d"], [], ["d", "zzz"], ["a"])]
-        stub = IdRankStub(len(make_seq(corpus_words)[1]))
+        stub = id_rank_stub(len(make_seq(corpus_words)[1]))
         fractions = token_anomaly_fractions(stub, seqs, epsilon=7)
         assert fractions == [fraction_alone(stub, s, 7) for s in seqs]
         assert fractions == [0.25, 0.0, 1.0, 0.0]
@@ -134,13 +126,13 @@ class TestTokenAnomalyFraction:
     def test_nonpositive_epsilon_rejected(self, epsilon):
         seq, vocab = make_seq(["a"])
         with pytest.raises(ValidationError):
-            fraction_alone(IdRankStub(len(vocab)), seq, epsilon)
+            fraction_alone(id_rank_stub(len(vocab)), seq, epsilon)
 
     @pytest.mark.parametrize("epsilon", [1, 2, 4, 5, 6, 7, 8, 20])
     def test_fraction_complements_constant_share(self, epsilon):
         # same rule as extraction: flagged tokens are exactly the variables
         seq, vocab = make_seq(["a", "b", "c", "d"])
-        stub = IdRankStub(len(vocab))
+        stub = id_rank_stub(len(vocab))
         variables = variables_alone(stub, seq, epsilon)
         fraction = fraction_alone(stub, seq, epsilon)
         assert fraction == len(variables) / len(seq.tokens)

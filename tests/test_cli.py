@@ -300,7 +300,8 @@ class TestParse:
             min(len(tokenize(line, WHITESPACE_FILTER)),
                 load_model(workspace["model"]).config.frame_length - 2)
             for line in lines)
-        assert 0 < config["masked_inputs_scored"] < config["masked_samples"]
+        assert 0 < config["masked_inputs_scored"] <= config["masked_inputs"] \
+            < config["masked_samples"]
 
     def test_missing_model_is_io_error(self, workspace, tmp_path):
         code = main(["parse", "--data", str(workspace["data"]),
@@ -571,13 +572,13 @@ def test_parse_keeps_its_exit_code_when_a_chunk_fails_on_the_worker(
     worker_started = threading.Event()
     predict = Model.predict_masked_batch
 
-    def fails_on_worker(self, samples):
+    def fails_on_worker(self, ids):
         if threading.current_thread().name == "nulog-worker":
             worker_started.set()
             raise error
         # hold the calling thread until the worker has taken a chunk
         worker_started.wait(timeout=30)
-        return predict(self, samples)
+        return predict(self, ids)
 
     monkeypatch.setattr(Model, "predict_masked_batch", fails_on_worker)
     monkeypatch.setattr(extraction, "CHUNK_ELEMS", 1)  # one input per chunk

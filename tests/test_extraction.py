@@ -4,49 +4,22 @@ import math
 import os
 import sys
 import threading
+from unittest import mock
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from nulog.errors import ShapeError, ValidationError
 from nulog import extraction, masking, numerics
 from nulog.extraction import (PLACEHOLDER, chunk_rows, constant_masks,
                               parse_corpus)
 from nulog.model import Model, ModelConfig, train
-from nulog.tokenizer import (CLS_ID, PAD_ID, UNK_ID, WHITESPACE_FILTER,
+from nulog.tokenizer import (CLS_ID, MASK_ID, PAD_ID, UNK_ID, WHITESPACE_FILTER,
                              TokenSequence, build_vocabulary,
                              compute_frame_length, frame, tokenize)
-
-
-class StubModel:
-    """Answers mask queries from a fixed per-target probability recipe."""
-
-    # the dims extraction.chunk_rows reads: 1,280 inputs per forward pass
-    config = ModelConfig(vocab_size=1, frame_length=1)
-    head_out = 1
-
-    def __init__(self, vocab_size, constant_ids):
-        self.vocab_size = vocab_size
-        self.constant_ids = set(constant_ids)
-
-    def predict_masked_batch(self, samples):
-        rows = []
-        for sample in samples:
-            probs = np.full(self.vocab_size, 1.0 / self.vocab_size)
-            if sample.target_id in self.constant_ids:
-                probs[:] = 0.001
-                probs[sample.target_id] = 1.0 - 0.001 * (self.vocab_size - 1)
-            else:
-                probs[sample.target_id] = 0.0
-                probs[list(self.constant_ids)] = 0.5 / max(len(self.constant_ids), 1)
-                remaining = 0.5 / (self.vocab_size - len(self.constant_ids) - 1)
-                for i in range(self.vocab_size):
-                    if i != sample.target_id and i not in self.constant_ids:
-                        probs[i] = remaining
-            rows.append(probs / probs.sum())
-        return np.stack(rows)
+from stubs import ScoringStub, guesses_missing_constants
 
 
 def framed_corpus(messages):
@@ -68,20 +41,6 @@ def trained_corpus(messages, **config):
     return seqs, model
 
 
-class FixedRowStub:
-    """Answers every masked input with the same probability row."""
-
-    # the dims extraction.chunk_rows reads: 1,280 inputs per forward pass
-    config = ModelConfig(vocab_size=1, frame_length=1)
-    head_out = 1
-
-    def __init__(self, row):
-        self.row = np.asarray(row)
-
-    def predict_masked_batch(self, samples):
-        return np.tile(self.row, (len(samples), 1))
-
-
 def rule(probs, true_ids, epsilon):
     """constant_masks' verdicts for one message whose every masked slot gets
     the distribution probs; true_ids index probs.
@@ -94,7 +53,7 @@ def rule(probs, true_ids, epsilon):
     ids = [CLS_ID, *(UNK_ID + 1 + t for t in true_ids), PAD_ID]
     seq = TokenSequence(message_index=0, tokens=[f"w{t}" for t in true_ids],
                         framed_ids=np.array(ids, dtype=np.int64))
-    masks, _ = constant_masks(FixedRowStub(row), [seq], epsilon)
+    masks, _, _ = constant_masks(ScoringStub(row), [seq], epsilon)
     return masks[0].tolist()
 
 
@@ -151,47 +110,30 @@ class TestConstantMask:
             [f"job j{i} finished with code {i % 3}" for i in range(16)],
             d=16, heads=2, ffn_hidden=32, epochs=3, batch_size=8, seed=7)
         for seq in seqs[:4]:
-            samples = masking.enumerate_masks(seq)
-            probs = model.predict_masked_batch(samples)
+            masked = masking.enumerate_masks([seq])
+            probs = model.predict_masked_batch(masked.inputs)[masked.input_of]
             for epsilon in (1, 3, len(model.vocab)):
                 mask = mask_alone(model, seq, epsilon)
-                expected = [loop_rank(p, s.target_id) < epsilon
-                            for p, s in zip(probs, samples)]
+                expected = [loop_rank(p, target) < epsilon
+                            for p, target in zip(probs, masked.targets)]
                 assert mask.tolist() == expected
 
     def test_unknown_token_is_never_constant(self):
         vocab = build_vocabulary([["alpha", "beta"]])
         seq = frame(["alpha", "zzz", "beta"], 5, vocab, message_index=0)
-        model = StubModel(len(vocab), constant_ids=set(range(len(vocab))))
+        model = guesses_missing_constants(len(vocab), range(len(vocab)))
         assert mask_alone(model, seq, epsilon=len(vocab)).tolist() == \
             [True, False, True]
 
 
-class CountingStub(StubModel):
-    """StubModel that records the row count of every forward call."""
-
-    def __init__(self, vocab_size, constant_ids):
-        super().__init__(vocab_size, constant_ids)
-        self.calls = []
-
-    def predict_masked_batch(self, samples):
-        self.calls.append(len(samples))
-        return super().predict_masked_batch(samples)
-
-
-class RecordingModel:
-    """A trained model that records every masked input it scores."""
-
-    def __init__(self, model):
-        self.model = model
-        self.config, self.head_out = model.config, model.head_out
-        self.calls = []
-        self.inputs = []
-
-    def predict_masked_batch(self, samples):
-        self.calls.append(len(samples))
-        self.inputs.extend(s.input_ids.tobytes() for s in samples)
-        return self.model.predict_masked_batch(samples)
+def masked_frames(seq):
+    """Each (masked frame, true id) of a message, built by hand."""
+    out = []
+    for position in range(1, len(seq.tokens) + 1):
+        ids = seq.framed_ids.copy()
+        ids[position] = MASK_ID
+        out.append((ids, int(seq.framed_ids[position])))
+    return out
 
 
 def set_chunk_rows(monkeypatch, model, rows):
@@ -209,18 +151,17 @@ class TestConstantMasks:
             [f"session s{i} opened" for i in range(300)] + ["session s7 opened"],
             d=16, heads=2, ffn_hidden=32, epochs=2, batch_size=32, seed=7)
         set_chunk_rows(monkeypatch, model, 256)
-        samples = [s.input_ids.tobytes()
-                   for seq in seqs for s in masking.enumerate_masks(seq)]
+        samples = [ids.tobytes() for seq in seqs for ids, _ in masked_frames(seq)]
         distinct = set(samples)
         assert len(distinct) == 2 * 300 + 1 < len(samples)
         verdicts = set()
         for epsilon in (1, 3, 8):
-            recorder = RecordingModel(model)
-            batched, scored = constant_masks(recorder, seqs, epsilon)
-            assert scored == len(distinct)
+            recorder = ScoringStub(model.predict_masked_batch, like=model)
+            batched, built, scored = constant_masks(recorder, seqs, epsilon)
+            assert built == scored == len(distinct)
             assert sorted(recorder.inputs) == sorted(distinct)
             # chunks run on either thread, in either order
-            assert sorted(recorder.calls) == sorted([256, 256, len(distinct) - 2 * 256])
+            assert sorted(recorder.rows) == sorted([256, 256, len(distinct) - 2 * 256])
             for seq, mask in zip(seqs, batched):
                 assert np.array_equal(mask, mask_alone(model, seq, epsilon))
             verdicts.update(np.concatenate(batched).tolist())
@@ -242,7 +183,7 @@ class TestConstantMasks:
         assert UNK_ID in seqs[11].framed_ids
         verdicts = set()
         for epsilon in (1, 3, 8):
-            batched, _ = constant_masks(model, seqs, epsilon)
+            batched, _, _ = constant_masks(model, seqs, epsilon)
             verdicts.update(np.concatenate(batched).tolist())
             assert len(batched) == len(seqs)
             for seq, mask in zip(seqs, batched):
@@ -254,20 +195,100 @@ class TestConstantMasks:
 
     def test_one_forward_call_per_chunk(self, monkeypatch):
         seqs, vocab = framed_corpus([f"w{i} x{i} y{i}" for i in range(200)])
-        model = CountingStub(len(vocab), set())
+        model = guesses_missing_constants(len(vocab), set())
         set_chunk_rows(monkeypatch, model, 256)
         constant_masks(model, seqs, epsilon=1)
         samples = 3 * len(seqs)
         assert len(model.calls) == math.ceil(samples / 256)
-        assert sum(model.calls) == samples
-        assert max(model.calls) == 256
+        assert sum(model.rows) == samples
+        assert max(model.rows) == 256
+
+    def test_inputs_whose_every_sample_is_unknown_are_not_scored(self, monkeypatch):
+        # "alpha <M>" is shared by an unknown and a known token; "gamma <M>"
+        # hides unknown tokens alone, in two messages
+        _, model = trained_corpus(["alpha beta", "gamma delta", "beta gamma"],
+                                  d=16, heads=2, ffn_hidden=32, epochs=1, seed=7)
+        seqs = [frame(tokens.split(), model.config.frame_length, model.vocab,
+                      message_index=i)
+                for i, tokens in enumerate(["alpha zzz", "alpha beta", "gamma zzz",
+                                            "gamma yyy", "zzz"])]
+        set_chunk_rows(monkeypatch, model, 2)
+        known = {ids.tobytes() for seq in seqs for ids, target in masked_frames(seq)
+                 if target != UNK_ID}
+        unknown_only = {ids.tobytes() for seq in seqs
+                        for ids, _ in masked_frames(seq)} - known
+        assert len(unknown_only) == 2  # "gamma <M>" and "<M>"
+        for epsilon in (1, 3, len(model.vocab)):
+            recorder = ScoringStub(model.predict_masked_batch, like=model)
+            masks, built, scored = constant_masks(recorder, seqs, epsilon)
+            assert sorted(recorder.inputs) == sorted(known)
+            assert (built, scored) == (len(known) + 2, len(known))
+            for seq, mask in zip(seqs, masks):
+                assert np.array_equal(mask, mask_alone(model, seq, epsilon))
+                assert not mask[seq.framed_ids[1:len(seq.tokens) + 1] == UNK_ID].any()
 
     def test_empty_input(self):
-        model = CountingStub(8, set())
-        assert constant_masks(model, [], epsilon=1) == ([], 0)
+        model = guesses_missing_constants(8, set())
+        assert constant_masks(model, [], epsilon=1) == ([], 0, 0)
         assert model.calls == []
         with pytest.raises(ValidationError):
             constant_masks(model, [], epsilon=0)
+
+
+ORACLE_WORDS = ["a", "b", "c", "d", "e"]
+ORACLE_VOCAB = build_vocabulary([ORACLE_WORDS])
+ORACLE_FRAME = 6  # four tokens fill it
+ORACLE_MODEL = Model(ModelConfig(vocab_size=len(ORACLE_VOCAB), frame_length=ORACLE_FRAME,
+                                 d=8, heads=2, ffn_hidden=16, seed=5))
+
+
+def tied_answer(ids):
+    """Probabilities in three levels, so every row holds exact ties; which
+    ids share a level depends on the masked frame."""
+    levels = 1.0 + (ids.sum(axis=1)[:, None] + np.arange(len(ORACLE_VOCAB))) % 3
+    return levels / levels.sum(axis=1, keepdims=True)
+
+
+def oracle_mask(model, seq, epsilon):
+    """The rule for one message from first principles: each masked frame
+    built by hand and scored alone with predict_proba, the true id ranked by
+    sorting the ids on (-probability, id)."""
+    verdicts = []
+    for ids, target in masked_frames(seq):
+        probs = model.predict_proba(ids[None, :])[0]
+        ranking = sorted(range(len(probs)), key=lambda j: (-probs[j], j))
+        verdicts.append(target != UNK_ID and ranking.index(target) < epsilon)
+    return verdicts
+
+
+class TestOracle:
+    """constant_masks against oracle_mask, which shares no code with it."""
+
+    @given(st.lists(st.lists(st.sampled_from(ORACLE_WORDS + ["x", "y"]), max_size=4),
+                    max_size=8),
+           st.integers(min_value=1, max_value=len(ORACLE_VOCAB)),
+           st.integers(min_value=1, max_value=6),
+           st.booleans())
+    # lines that differ at one slot share a masked input with two targets;
+    # an unknown token, an empty message and a message that fills the frame
+    @example([["a", "b", "c"], ["a", "b", "d"], ["x", "a", "b", "e"], [], ["a", "y"]],
+             3, 2, False)
+    @example([["a", "b", "c"], ["a", "b", "d"], ["x", "a", "b", "e"], [], ["a", "y"]],
+             3, 2, True)
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    def test_agrees_with_each_frame_scored_alone(self, messages, epsilon, rows, tied):
+        seqs = [frame(tokens, ORACLE_FRAME, ORACLE_VOCAB, message_index=i)
+                for i, tokens in enumerate(messages)]
+        scorer = ScoringStub(tied_answer if tied else ORACLE_MODEL.predict_proba,
+                             like=ORACLE_MODEL)
+        width = max(ORACLE_FRAME * ORACLE_MODEL.config.d, ORACLE_MODEL.head_out)
+        with mock.patch.object(extraction, "CHUNK_ELEMS", rows * width):
+            masks, built, scored = constant_masks(scorer, seqs, epsilon)
+        assert [m.tolist() for m in masks] == [oracle_mask(scorer, seq, epsilon)
+                                               for seq in seqs]
+        assert len(scorer.calls) == math.ceil(scored / rows)
+        assert all(n <= rows for n in scorer.rows)
+        assert len(set(scorer.inputs)) == scored <= built
 
 
 class TestChunkRows:
@@ -318,19 +339,16 @@ class TestChunksOnBothThreads:
 
         def masks_and_rows():
             # every probability row the model gave, keyed by its masked input
-            recorder = RecordingModel(model)
             rows = {}
-            predict = recorder.predict_masked_batch
 
-            def record(samples):
-                probabilities = predict(samples)
-                for sample, row in zip(samples, probabilities):
-                    rows[sample.input_ids.tobytes()] = row.tobytes()
+            def record(ids):
+                probabilities = model.predict_masked_batch(ids)
+                rows.update((i.tobytes(), p.tobytes()) for i, p in zip(ids, probabilities))
                 return probabilities
 
-            recorder.predict_masked_batch = record
-            masks, scored = constant_masks(recorder, seqs, epsilon=3)
-            assert sum(recorder.calls) == len(rows) == scored
+            recorder = ScoringStub(record, like=model)
+            masks, _, scored = constant_masks(recorder, seqs, epsilon=3)
+            assert sum(recorder.rows) == len(rows) == scored
             return masks, rows
 
         interval = sys.getswitchinterval()
@@ -366,30 +384,30 @@ class TestChunksOnBothThreads:
         seqs, vocab = framed_corpus([f"w{i} x{i} y{i}" for i in range(20)])
         worker_started = threading.Event()
 
-        class FailsOnWorker(StubModel):
-            def predict_masked_batch(self, samples):
-                if threading.current_thread().name == "nulog-worker":
-                    worker_started.set()
-                    raise ShapeError("scored on the worker")
-                # hold the calling thread until the worker has taken a chunk
-                worker_started.wait(timeout=30)
-                return super().predict_masked_batch(samples)
+        healthy = guesses_missing_constants(len(vocab), set())
 
-        model = FailsOnWorker(len(vocab), set())
+        def fails_on_worker(ids):
+            if threading.current_thread().name == "nulog-worker":
+                worker_started.set()
+                raise ShapeError("scored on the worker")
+            # hold the calling thread until the worker has taken a chunk
+            worker_started.wait(timeout=30)
+            return healthy.answer(ids)
+
+        model = ScoringStub(fails_on_worker)
         set_chunk_rows(monkeypatch, model, 5)
         with pytest.raises(ShapeError, match="scored on the worker"):
             constant_masks(model, seqs, epsilon=1)
         assert worker_started.is_set()
         # the worker lives on and nothing of the failed call is left queued
-        healthy = CountingStub(len(vocab), set())
-        masks, _ = constant_masks(healthy, seqs, epsilon=1)
-        assert sum(healthy.calls) == 3 * len(seqs)
+        masks, _, _ = constant_masks(healthy, seqs, epsilon=1)
+        assert sum(healthy.rows) == 3 * len(seqs)
         assert all(not m.any() for m in masks)
 
 
 def extract(model, seq, epsilon):
     """The template and variables parse_corpus gives one message."""
-    parsed, _, _ = parse_corpus(model, [seq], epsilon)
+    parsed = parse_corpus(model, [seq], epsilon)[0]
     return parsed[0].template, parsed[0].variables
 
 
@@ -399,7 +417,7 @@ class TestExtractTemplate:
         seqs, vocab = framed_corpus([message])
         variable_ids = {vocab.encode(t) for t in ("2048", "20", "1")}
         constant_ids = set(range(4, len(vocab))) - variable_ids
-        model = StubModel(len(vocab), constant_ids)
+        model = guesses_missing_constants(len(vocab), constant_ids)
         template, variables = extract(model, seqs[0], epsilon=3)
         assert template == ("Attempting claim: memory " + PLACEHOLDER +
                            " MB, disk " + PLACEHOLDER + " GB, vcpus " +
@@ -408,12 +426,12 @@ class TestExtractTemplate:
 
     def test_empty_message(self):
         seqs, vocab = framed_corpus([""])
-        model = StubModel(len(vocab), set())
+        model = guesses_missing_constants(len(vocab), set())
         assert extract(model, seqs[0], epsilon=1) == ("", [])
 
     def test_epsilon_at_vocab_size_keeps_all_known_tokens(self):
         seqs, vocab = framed_corpus(["alpha beta gamma"])
-        model = StubModel(len(vocab), set())
+        model = guesses_missing_constants(len(vocab), set())
         template, variables = extract(model, seqs[0], epsilon=len(vocab))
         assert template == "alpha beta gamma"
         assert variables == []
@@ -423,7 +441,7 @@ class TestExtractTemplate:
         vocab = build_vocabulary(token_lists)
         seq = frame(["alpha", "zzz"], 4, vocab, message_index=0)
         assert seq.framed_ids[2] == UNK_ID
-        model = StubModel(len(vocab), constant_ids=set(range(len(vocab))))
+        model = guesses_missing_constants(len(vocab), range(len(vocab)))
         template, variables = extract(model, seq, epsilon=len(vocab))
         assert template == "alpha " + PLACEHOLDER
         assert variables == ["zzz"]
@@ -431,7 +449,7 @@ class TestExtractTemplate:
     def test_placeholder_count_matches_variables(self):
         message = "a b c d"
         seqs, vocab = framed_corpus([message])
-        model = StubModel(len(vocab), {vocab.encode("a"), vocab.encode("c")})
+        model = guesses_missing_constants(len(vocab), {vocab.encode(t) for t in "ac"})
         template, variables = extract(model, seqs[0], epsilon=2)
         assert template.count(PLACEHOLDER) == len(variables) == 2
         assert len(template.split(" ")) == 4
@@ -440,8 +458,8 @@ class TestExtractTemplate:
 class TestParseCorpus:
     def test_identical_messages_form_one_group(self):
         seqs, vocab = framed_corpus(["same line here"] * 7)
-        model = StubModel(len(vocab), set(range(4, len(vocab))))
-        parsed, templates, _ = parse_corpus(model, seqs, epsilon=2)
+        model = guesses_missing_constants(len(vocab), set(range(4, len(vocab))))
+        parsed, templates, _, _ = parse_corpus(model, seqs, epsilon=2)
         assert templates == ["same line here"]
         assert [p.message_index for p in parsed] == [s.message_index for s in seqs]
         assert {p.template_id for p in parsed} == {0}
@@ -450,8 +468,8 @@ class TestParseCorpus:
         seqs, vocab = framed_corpus(
             ["on x", "off y", "on z", "off w", "on q"])
         constant = {vocab.encode("on"), vocab.encode("off")}
-        model = StubModel(len(vocab), constant)
-        parsed, templates, _ = parse_corpus(model, seqs, epsilon=2)
+        model = guesses_missing_constants(len(vocab), constant)
+        parsed, templates, _, _ = parse_corpus(model, seqs, epsilon=2)
         assert [p.message_index for p in parsed] == [s.message_index for s in seqs]
         assert {p.template_id for p in parsed} == set(range(len(templates)))
         assert all(templates[p.template_id] == p.template for p in parsed)
@@ -468,7 +486,7 @@ class TestParseCorpus:
         seqs, model = trained_corpus(messages, d=16, heads=2, ffn_hidden=32,
                                      epochs=50, batch_size=16, seed=7)
         # trained constants rank <= 1, once-seen variables rank >= 6 here
-        parsed, templates, _ = parse_corpus(model, seqs, epsilon=4)
+        parsed, templates, _, _ = parse_corpus(model, seqs, epsilon=4)
         assert len(templates) == 2
         groups = {}
         for p, label in zip(parsed, truth):
@@ -477,7 +495,7 @@ class TestParseCorpus:
 
     def test_extraction_is_deterministic(self):
         seqs, vocab = framed_corpus(["up a 1", "up b 2", "up c 3"])
-        model = StubModel(len(vocab), {vocab.encode("up")})
+        model = guesses_missing_constants(len(vocab), {vocab.encode("up")})
         first = parse_corpus(model, seqs, epsilon=1)[0]
         second = parse_corpus(model, seqs, epsilon=1)[0]
         assert [(p.template, p.variables) for p in first] == \
@@ -486,28 +504,29 @@ class TestParseCorpus:
     def test_epsilon_validated(self):
         seqs, vocab = framed_corpus(["a"])
         with pytest.raises(ValidationError):
-            parse_corpus(StubModel(len(vocab), set()), seqs, epsilon=0)
+            parse_corpus(guesses_missing_constants(len(vocab), set()), seqs, epsilon=0)
 
     def test_empty_corpus_still_checks_epsilon(self):
         with pytest.raises(ValidationError):
-            parse_corpus(StubModel(8, set()), [], epsilon=0)
+            parse_corpus(guesses_missing_constants(8, set()), [], epsilon=0)
 
     def test_scores_each_distinct_sequence_once(self, caplog):
         seqs, vocab = framed_corpus(["on x", "off y", "on x", "on x", "off y", "up"])
-        model = CountingStub(len(vocab), {vocab.encode("on"), vocab.encode("off")})
+        model = guesses_missing_constants(len(vocab),
+                                          {vocab.encode(t) for t in ("on", "off")})
         with caplog.at_level(logging.INFO, logger="nulog.extraction"):
-            parsed, templates, scored = parse_corpus(model, seqs, epsilon=2)
-        assert model.calls == [2 + 2 + 1]
-        assert scored == 5
+            parsed, templates, built, scored = parse_corpus(model, seqs, epsilon=2)
+        assert model.rows == [2 + 2 + 1]
+        assert built == scored == 5
         assert [p.template_id for p in parsed] == [0, 1, 0, 0, 1, 2]
-        assert "scored 6 messages: 11 masked samples as 5 distinct inputs " \
-            "in 1 forward calls" in caplog.text
+        assert "scored 6 messages: 11 masked samples as 5 distinct inputs, " \
+            "5 of them scored in 1 forward calls" in caplog.text
 
     def test_template_ids_follow_first_appearance(self):
         seqs, vocab = framed_corpus(["b 1", "a 2", "b 3", "c 4", "a 5"])
         constant = {vocab.encode(t) for t in ("a", "b", "c")}
-        parsed, templates, _ = parse_corpus(StubModel(len(vocab), constant), seqs,
-                                         epsilon=3)
+        model = guesses_missing_constants(len(vocab), constant)
+        parsed, templates, _, _ = parse_corpus(model, seqs, epsilon=3)
         assert templates == [f"b {PLACEHOLDER}", f"a {PLACEHOLDER}",
                              f"c {PLACEHOLDER}"]
         assert [p.template_id for p in parsed] == [0, 1, 0, 2, 1]

@@ -13,7 +13,7 @@ from nulog.errors import ConfigError, ShapeError, ValidationError
 from nulog.model import Model, ModelConfig, positional_encoding, train, train_epoch
 from nulog.numerics import (OptimizerState, Tensor, cross_entropy,
                             finite_difference_check)
-from nulog.tokenizer import CLS_ID, frame, tokenize, WHITESPACE_FILTER
+from nulog.tokenizer import CLS_ID, MASK_ID, frame, tokenize, WHITESPACE_FILTER
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -340,8 +340,8 @@ class TestPredictMasked:
     def test_output_is_distribution(self):
         model, seqs = fit(["alpha beta gamma", "alpha beta"], d=8, heads=2,
                           ffn_hidden=16, epochs=0)
-        sample = masking.enumerate_masks(seqs[0])[1]
-        probs = model.predict_masked_batch([sample])[0]
+        masked = masking.enumerate_masks(seqs[:1])
+        probs = model.predict_masked_batch(masked.inputs[1:2])[0]
         assert probs.shape == (len(model.vocab),)
         assert np.all(probs >= 0)
         assert math.isclose(float(probs.sum()), 1.0, abs_tol=1e-6)
@@ -350,9 +350,9 @@ class TestPredictMasked:
         model, seqs = fit([f"msg number {i} with words w{i}" for i in range(30)],
                           d=16, heads=2, ffn_hidden=32, epochs=0, seed=7)
         vocab_size = len(model.vocab)
-        samples = [masking.enumerate_masks(s)[0] for s in seqs]
-        ids = np.stack([s.input_ids for s in samples])
-        targets = np.array([s.target_id for s in samples])
+        masked = [masking.enumerate_masks([s]) for s in seqs]
+        ids = np.stack([m.inputs[0] for m in masked])
+        targets = np.array([m.targets[0] for m in masked])
         with numerics.no_grad():
             loss = float(cross_entropy(model.forward_logits(ids), targets).data)
         assert abs(loss - math.log(vocab_size)) < 0.1 * math.log(vocab_size)
@@ -363,9 +363,9 @@ class TestPredictMasked:
                     for _ in range(50)]
         model, seqs = fit(messages, d=16, heads=2, ffn_hidden=32, epochs=100,
                           batch_size=16, seed=7)
-        sample = masking.enumerate_masks(seqs[0])[0]
-        assert sample.position == 1
-        probs = model.predict_masked_batch([sample])[0]
+        masked = masking.enumerate_masks(seqs[:1])
+        assert masked.inputs[0, 1] == MASK_ID
+        probs = model.predict_masked_batch(masked.inputs[:1])[0]
         assert int(np.argmax(probs)) == model.vocab.encode("INFO")
 
 

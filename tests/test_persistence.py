@@ -11,7 +11,7 @@ import pytest
 from nulog.errors import ArchiveError, ValidationError
 from nulog.masking import enumerate_masks
 from nulog.model import Model, ModelConfig, train
-from nulog.persistence import MAGIC, VERSION, load_model, save_model
+from nulog.persistence import MAGIC, VERSION, _Reader, load_model, save_model
 from nulog.tokenizer import compile_filter, frame, tokenize
 
 PATTERN = compile_filter(r"([ ])")
@@ -61,6 +61,20 @@ class TestRoundTrip:
             assert restored.dtype == np.float32
             assert original.tobytes() == restored.tobytes()
 
+    def test_each_tensor_is_its_own_copy_of_the_blob(self, trained, tmp_path):
+        # the reader hands out views of the file's bytes, and load_model's
+        # one copy per tensor gives each tensor its own writable memory
+        model, _ = trained
+        path = tmp_path / "model.nulog"
+        save_model(model, path)
+        blob = path.read_bytes()
+        reader = _Reader(blob, path)
+        assert reader.take(4).obj is blob
+        loaded = load_model(path)
+        for name in model.params:
+            data = loaded.params[name].data
+            assert data.flags.owndata and data.flags.writeable
+
     def test_config_and_vocab_survive(self, trained, tmp_path):
         model, _ = trained
         path = tmp_path / "model.nulog"
@@ -74,9 +88,9 @@ class TestRoundTrip:
         path = tmp_path / "model.nulog"
         save_model(model, path)
         loaded = load_model(path)
-        samples = enumerate_masks(seqs[0])
-        assert np.array_equal(model.predict_masked_batch(samples),
-                              loaded.predict_masked_batch(samples))
+        inputs = enumerate_masks(seqs[:1]).inputs
+        assert np.array_equal(model.predict_masked_batch(inputs),
+                              loaded.predict_masked_batch(inputs))
 
     def test_save_load_save_is_stable(self, trained, tmp_path):
         model, _ = trained
