@@ -4,13 +4,14 @@ import math
 import os
 import sys
 import threading
-from unittest import mock
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from stubs import ScoringStub, guesses_missing_constants
 from nulog.errors import ShapeError, ValidationError
 from nulog import extraction, masking, numerics
 from nulog.extraction import (PLACEHOLDER, chunk_rows, constant_masks,
@@ -19,7 +20,6 @@ from nulog.model import Model, ModelConfig, train
 from nulog.tokenizer import (CLS_ID, MASK_ID, PAD_ID, UNK_ID, WHITESPACE_FILTER,
                              TokenSequence, build_vocabulary,
                              compute_frame_length, frame, tokenize)
-from stubs import ScoringStub, guesses_missing_constants
 
 
 def framed_corpus(messages):
