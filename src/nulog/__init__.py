@@ -13,7 +13,7 @@ from .evaluation import (levenshtein, mean_template_edit_distance,
 from .extraction import PLACEHOLDER, ParsedMessage, constant_masks, parse_corpus
 from .ingest import (ANOMALY, NORMAL, DatasetConfig, LogRecord,
                      load_config, load_labeled_bgl, load_loghub_csv)
-from .masking import MaskedSample, enumerate_masks, sample_random_mask
+from .masking import enumerate_masks
 from .model import Model, ModelConfig, positional_encoding, train
 from .persistence import load_model, save_model
 from .tokenizer import (CLS_ID, MASK_ID, PAD_ID, UNK_ID, TokenSequence,

@@ -1,5 +1,6 @@
-"""Masked-sample construction: random masks for training, and for parsing
-the index of every masked input of a batch of messages, built as arrays."""
+"""Masked-input construction, built as arrays: one random mask per message
+for a training epoch, and for parsing the index of every masked input of a
+batch of messages. Both hide tokens behind MASK through _mask."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -9,33 +10,33 @@ import numpy as np
 from .tokenizer import MASK_ID, TokenSequence
 
 
-@dataclass
-class MaskedSample:
-    """A framed message with one real token hidden behind MASK.
+def _mask(seqs: list[TokenSequence], rows: np.ndarray,
+          slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample i is frame rows[i] of seqs, whose frames share one length,
+    with MASK at slot slots[i]: the masked frames, one row per sample, and
+    the ids they hid."""
+    frames = np.stack([s.framed_ids for s in seqs]) if seqs else np.empty((0, 0), np.int64)
+    masked = frames[rows]
+    samples = np.arange(len(rows))
+    targets = masked[samples, slots]
+    masked[samples, slots] = MASK_ID
+    return masked, targets
 
-    position is the frame slot of the hidden token (1-based within the
-    frame, so CLS at slot 0 and the trailing PADs are never masked).
+
+def random_masks(seqs: list[TokenSequence],
+                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """One epoch's training samples: the messages in the order of
+    rng.permutation, each with MASK at a uniformly drawn token slot, and a
+    message with no token skipped. Returns the masked frames and the ids
+    they hid.
+
+    rng draws the permutation, then the slots in one call; its array bound
+    gives the same slots, and leaves rng in the same state, as one scalar
+    rng.integers(1, n + 1) per message in turn.
     """
-
-    input_ids: np.ndarray
-    target_id: int
-    position: int
-
-
-def sample_random_mask(seq: TokenSequence, rng: np.random.Generator) -> MaskedSample | None:
-    """One uniformly chosen masked variant, or None when nothing is maskable.
-
-    A None return is the skip signal: a message that tokenized to nothing
-    contributes no training sample for the epoch.
-    """
-    n = len(seq.tokens)
-    if n == 0:
-        return None
-    position = int(rng.integers(1, n + 1))
-    ids = seq.framed_ids.copy()
-    target = int(ids[position])
-    ids[position] = MASK_ID
-    return MaskedSample(input_ids=ids, target_id=target, position=position)
+    order = rng.permutation(len(seqs))
+    lengths = np.array([len(s.tokens) for s in seqs], dtype=np.int64)[order]
+    return _mask(seqs, order[lengths > 0], rng.integers(1, lengths[lengths > 0] + 1))
 
 
 @dataclass
@@ -56,14 +57,11 @@ def enumerate_masks(seqs: list[TokenSequence]) -> MaskedInputs:
     """The masked-input index of seqs, whose frames share one length: each
     frame repeated once per token, MASK at that token's slot, and identical
     rows, from one message or from several, merged into one input."""
-    frames = np.stack([s.framed_ids for s in seqs]) if seqs else np.empty((0, 0), np.int64)
     lengths = np.array([len(s.tokens) for s in seqs], dtype=np.int64)
     owner = np.repeat(np.arange(len(seqs)), lengths)
-    samples = np.arange(len(owner))
-    positions = samples - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
-    rows = frames[owner]
-    targets = rows[samples, positions]
-    rows[samples, positions] = MASK_ID
+    # each sample's token slot, counted from 1 within its message
+    slots = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
+    rows, targets = _mask(seqs, owner, slots)
     # one opaque key per row: sorting the keys groups equal rows
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)

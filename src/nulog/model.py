@@ -307,17 +307,11 @@ def train(token_lists: list[list[str]], config: ModelConfig,
         return model
     opt = OptimizerState(model.params, learning_rate=config.learning_rate)
     for epoch in range(config.epochs):
-        order = rng.permutation(len(corpus))
-        samples = []
-        for i in order:
-            sample = masking.sample_random_mask(corpus[i], rng)
-            if sample is not None:
-                samples.append(sample)
-        if not samples:
+        ids, targets = masking.random_masks(corpus, rng)
+        if not len(targets):
             raise ValidationError("no maskable messages in the corpus")
-        mean_loss = train_epoch(model, opt, np.stack([s.input_ids for s in samples]),
-                                np.array([s.target_id for s in samples], dtype=np.int64))
+        mean_loss = train_epoch(model, opt, ids, targets)
         model.training_losses.append(mean_loss)
         log.info("epoch %d/%d: mean loss %.4f over %d samples",
-                 epoch + 1, config.epochs, mean_loss, len(samples))
+                 epoch + 1, config.epochs, mean_loss, len(targets))
     return model

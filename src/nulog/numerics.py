@@ -2,8 +2,8 @@
 
 Values are numpy arrays of rank 2 (one matrix) or rank 3 (a batch of
 equally shaped matrices); nothing more general is supported. Training runs
-in float32. Gradient verification runs the same graph in float64, where
-central finite differences are trustworthy.
+in float32. The tests verify gradients on the same graph in float64,
+where central finite differences are trustworthy.
 
 The kernels are matmul, add, scale, transpose, relu, softmax_rows,
 layer_norm_rows, embedding, rearrange, first_row, cross_entropy and
@@ -23,9 +23,8 @@ a contribution of another shape or dtype, and adds every later
 contribution in place. Each grad is thus an array no other tensor holds,
 and a fresh contribution costs no extra pass over memory.
 
-Adam (OptimizerState, optimizer_step) and finite_difference_check take the
-trainable tensors as a plain dict from name to Tensor and visit them in the
-dict's order.
+Adam (OptimizerState, optimizer_step) takes the trainable tensors as a
+plain dict from name to Tensor and visits them in the dict's order.
 
 Two threads share the work: the calling thread and one worker thread,
 started the first time work is queued and only when the process may run
@@ -644,41 +643,3 @@ def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> None:
         raise errors[0]
     if stale:
         raise StaleGradientError(f"no gradient for {stale[0]!r}; run backward() first")
-
-
-def finite_difference_check(loss_fn, params: dict[str, Tensor],
-                            h: float = 1e-5) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    loss_fn must rebuild the loss from the current parameter values on every
-    call. Run with float64 parameters; at float32 the differences drown in
-    rounding noise. At h=1e-5 the truncation error of central differences
-    stays small past one encoder block (at 1e-3 it alone reaches 1e-2 on a
-    correct two-block model), while float64 rounding in the difference
-    stays near 1e-11. The relative error denominator is floored at 1e-3 so
-    coordinates with near-zero gradient compare absolutely.
-    """
-    for t in params.values():
-        t.grad = None
-    loss = loss_fn()
-    loss.backward()
-    analytic = {name: t.grad.copy() for name, t in params.items()}
-    worst = 0.0
-    for name, t in params.items():
-        flat = t.data.reshape(-1)
-        grad_flat = analytic[name].reshape(-1)
-        for i in range(flat.size):
-            saved = flat[i]
-            flat[i] = saved + h
-            up = float(loss_fn().data)
-            flat[i] = saved - h
-            down = float(loss_fn().data)
-            flat[i] = saved
-            numeric = (up - down) / (2.0 * h)
-            a = float(grad_flat[i])
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-3)
-            if rel > worst:
-                worst = rel
-    for t in params.values():
-        t.grad = None
-    return worst

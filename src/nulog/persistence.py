@@ -130,15 +130,21 @@ def load_model(path: str | Path) -> Model:
         raise ValidationError(
             f"{path}: vocabulary does not start with the special tokens")
     vocab = Vocabulary()
-    for token in tokens[4:]:
-        vocab.add(token)
+    for token_id, token in enumerate(tokens[4:], start=4):
+        if vocab.add(token) != token_id:
+            raise ArchiveError(f"{path}: vocabulary token {token!r} is stored twice")
     tensor_count = reader.u32()
     tensors: dict[str, np.ndarray] = {}
     for _ in range(tensor_count):
         name = reader.utf8()
+        if name in tensors:
+            raise ArchiveError(f"{path}: tensor {name} is stored twice")
         rows, cols = reader.u32(), reader.u32()
         raw = reader.take(rows * cols * 4)
         tensors[name] = np.frombuffer(raw, dtype="<f4").reshape(rows, cols).copy()
+    if reader.offset != len(reader.blob):
+        raise ArchiveError(f"{path}: {len(reader.blob) - reader.offset} bytes "
+                           f"follow the last tensor")
     if "head.w" not in tensors:
         raise ValidationError(f"{path}: archive has no output head")
     head_out = tensors["head.w"].shape[1]

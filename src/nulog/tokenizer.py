@@ -3,7 +3,8 @@
 A log message is split into tokens at every match of a dataset-specific
 regular expression; the matched delimiters are discarded, never rewritten.
 Frames are the fixed-length model inputs: a CLS id, the encoded tokens,
-and at least one trailing PAD id.
+and at least one trailing PAD id. A token slot holds a corpus id or UNK,
+whatever the token's spelling; MASK is written only by masking.
 """
 from __future__ import annotations
 
@@ -56,15 +57,17 @@ def tokenize(content: str, pattern: str | re.Pattern) -> list[str]:
 
 
 class Vocabulary:
-    """Bijective token <-> id mapping with four fixed special ids.
+    """Bijective corpus token <-> id mapping after four fixed special ids.
 
-    Ids 0..3 are CLS, MASK, PAD, UNK; corpus tokens receive ids from 4
-    upward in first-appearance order, which keeps vocabularies reproducible
-    across runs on the same corpus.
+    Ids 0..3 are CLS, MASK, PAD, UNK. They decode to their names but no
+    token encodes to them, so a log token spelled "<PAD>" is a corpus token
+    like any other. Corpus tokens receive ids from 4 upward in
+    first-appearance order, which keeps vocabularies reproducible across
+    runs on the same corpus.
     """
 
     def __init__(self) -> None:
-        self._token_to_id: dict[str, int] = {t: i for i, t in enumerate(SPECIAL_TOKENS)}
+        self._token_to_id: dict[str, int] = {}
         self._id_to_token: list[str] = list(SPECIAL_TOKENS)
 
     def __len__(self) -> int:

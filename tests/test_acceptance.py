@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 import synth
+from gradcheck import finite_difference_check
 from stubs import ScoringStub
 from nulog.anomaly import AnomalyConfig, run_supervised_study, run_unsupervised_study
 from nulog.cli import main
@@ -29,8 +30,7 @@ from nulog.evaluation import (levenshtein, mean_template_edit_distance,
 from nulog.extraction import constant_masks, parse_corpus
 from nulog.ingest import load_config, load_labeled_bgl, load_loghub_csv
 from nulog.model import Model, ModelConfig, train
-from nulog.numerics import (Tensor, cross_entropy, finite_difference_check,
-                            softmax_rows)
+from nulog.numerics import Tensor, cross_entropy, softmax_rows
 from nulog.persistence import load_model, save_model
 from nulog.tokenizer import (CLS_ID, PAD_ID, UNK_ID, TokenSequence,
                              compile_filter, frame, tokenize)

@@ -8,11 +8,11 @@ import threading
 import numpy as np
 import pytest
 
+from gradcheck import finite_difference_check
 from nulog import masking, numerics
 from nulog.errors import ConfigError, ShapeError, ValidationError
 from nulog.model import Model, ModelConfig, positional_encoding, train, train_epoch
-from nulog.numerics import (OptimizerState, Tensor, cross_entropy,
-                            finite_difference_check)
+from nulog.numerics import OptimizerState, Tensor, cross_entropy
 from nulog.tokenizer import CLS_ID, MASK_ID, frame, tokenize, WHITESPACE_FILTER
 
 
@@ -431,6 +431,10 @@ class TestTrain:
             train([["a"], ["b"]], tiny_config(), [True])
         with pytest.raises(ValidationError, match="no maskable"):
             train([["a"], ["b"]], tiny_config(), [False, False])
+
+    def test_a_corpus_with_no_token_is_rejected(self):
+        with pytest.raises(ValidationError, match="no maskable"):
+            train([[], []], tiny_config())
 
     def test_model_needs_the_corpus_fields(self):
         with pytest.raises(ValidationError, match="vocab_size and frame_length are unset"):

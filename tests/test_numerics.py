@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gradcheck import finite_difference_check
 from nulog import numerics
 from nulog.errors import ShapeError, StaleGradientError, ValidationError
 from nulog.model import Model, ModelConfig, train_epoch
 from nulog.numerics import (OptimizerState, Tensor, add,
-                            cross_entropy, embedding,
-                            finite_difference_check, first_row,
+                            cross_entropy, embedding, first_row,
                             layer_norm_rows, matmul, no_grad, rearrange,
                             relu, scale, softmax_rows, sum_all, transpose,
                             optimizer_step)

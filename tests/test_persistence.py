@@ -83,6 +83,18 @@ class TestRoundTrip:
         assert loaded.config == model.config
         assert loaded.vocab.tokens() == model.vocab.tokens()
 
+    def test_corpus_token_spelled_like_a_special_survives(self, tmp_path):
+        token_lists = [["<PAD>", "up"], ["<MASK>", "down", "<PAD>"]]
+        model = train(token_lists, ModelConfig(d=8, heads=2, ffn_hidden=16, epochs=0))
+        path = tmp_path / "model.nulog"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert loaded.vocab.tokens() == model.vocab.tokens()
+        for tokens in token_lists:
+            assert np.array_equal(frame(tokens, 5, loaded.vocab).framed_ids,
+                                  frame(tokens, 5, model.vocab).framed_ids)
+        assert loaded.vocab.encode("<PAD>") == 4
+
     def test_predictions_survive(self, trained, tmp_path):
         model, seqs = trained
         path = tmp_path / "model.nulog"
@@ -288,6 +300,33 @@ class TestLoadValidation:
         bad = tmp_path / "bad.nulog"
         bad.write_bytes(blob.replace(marker, struct.pack("<I", 5) + b"<XLS>", 1))
         with pytest.raises(ValidationError, match="special"):
+            load_model(bad)
+
+    def test_bytes_after_the_last_tensor(self, trained, tmp_path):
+        bad = tmp_path / "bad.nulog"
+        bad.write_bytes(self.archive(trained, tmp_path) + b"GARBAGE")
+        with pytest.raises(ArchiveError, match="7 bytes follow the last tensor"):
+            load_model(bad)
+
+    def test_repeated_tensor(self, trained, tmp_path):
+        # head.b is the last record; store it a second time and count it
+        blob = self.archive(trained, tmp_path)
+        head_b = blob.rindex(struct.pack("<I", 6) + b"head.b")
+        count_at = blob.index(struct.pack("<I", 7) + b"tok_emb") - 4
+        (count,) = struct.unpack_from("<I", blob, count_at)
+        bad = tmp_path / "bad.nulog"
+        bad.write_bytes(blob[:count_at] + struct.pack("<I", count + 1)
+                        + blob[count_at + 4:] + blob[head_b:])
+        with pytest.raises(ArchiveError, match="head.b is stored twice"):
+            load_model(bad)
+
+    def test_repeated_vocabulary_token(self, trained, tmp_path):
+        blob = self.archive(trained, tmp_path)
+        marker = struct.pack("<I", 2) + b"22"
+        assert marker in blob
+        bad = tmp_path / "bad.nulog"
+        bad.write_bytes(blob.replace(marker, struct.pack("<I", 2) + b"11", 1))
+        with pytest.raises(ArchiveError, match="'11' is stored twice"):
             load_model(bad)
 
     def test_missing_file(self, tmp_path):

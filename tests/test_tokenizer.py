@@ -90,6 +90,15 @@ class TestVocabulary:
         for token in ("alpha", "beta", "gamma"):
             assert vocab.decode(vocab.encode(token)) == token
 
+    def test_special_spellings_are_corpus_tokens(self):
+        tokens = ["<PAD>", "x", "<CLS>", "<MASK>", "<UNK>"]
+        vocab = build_vocabulary([tokens])
+        assert [vocab.encode(t) for t in tokens] == [4, 5, 6, 7, 8]
+        assert [vocab.decode(i) for i in range(9)] == list(SPECIAL_TOKENS) + tokens
+        assert Vocabulary().encode("<PAD>") == UNK_ID
+        assert frame(tokens, 8, vocab).framed_ids.tolist() == \
+            [CLS_ID, 4, 5, 6, 7, 8, PAD_ID, PAD_ID]
+
     def test_add_is_idempotent(self):
         vocab = Vocabulary()
         first = vocab.add("x")
@@ -181,3 +190,12 @@ class TestFrame:
         real = [i for i in ids.tolist()[1:] if i != PAD_ID]
         assert len(real) == len(seq.tokens)
         assert np.issubdtype(ids.dtype, np.integer)
+
+    @given(st.lists(st.sampled_from(["a", "zzz", *SPECIAL_TOKENS]), max_size=8),
+           st.lists(st.sampled_from(["a", *SPECIAL_TOKENS]), min_size=1, max_size=5))
+    def test_no_token_slot_holds_a_special_id(self, tokens, corpus):
+        vocab = build_vocabulary([corpus])
+        ids = frame(tokens, 10, vocab).framed_ids[1:len(tokens) + 1]
+        assert ids.tolist() == [UNK_ID if t not in corpus else vocab.encode(t)
+                                for t in tokens]
+        assert not np.isin(ids, [CLS_ID, MASK_ID, PAD_ID]).any()
