@@ -157,10 +157,11 @@ def _prepare(records: list[LogRecord], config: AnomalyConfig):
     return model, train_part, test_part, seqs[:cut], seqs[cut:]
 
 
-def run_unsupervised_study(records: list[LogRecord],
-                           config: AnomalyConfig) -> tuple[DetectionMetrics, list[Verdict]]:
+def run_unsupervised_study(records: list[LogRecord], config: AnomalyConfig
+                           ) -> tuple[DetectionMetrics, list[Verdict], Model]:
     """Self-supervised route: pretrain on the early lines without labels,
-    then flag late lines whose surprising-token share exceeds delta."""
+    then flag late lines whose surprising-token share exceeds delta.
+    Returns the metrics, the verdicts and the pretrained model."""
     model, _, test_part, _, test_seqs = _prepare(records, config)
     fractions = token_anomaly_fractions(model, test_seqs, config.model.epsilon)
     verdicts = [Verdict(line_id=record.line_id, fraction=fraction,
@@ -171,7 +172,7 @@ def run_unsupervised_study(records: list[LogRecord],
                               [v.label for v in verdicts])
     log.info("unsupervised study: F1 %.4f over %d test messages",
              metrics.f1, len(verdicts))
-    return metrics, verdicts
+    return metrics, verdicts, model
 
 
 def fine_tune_supervised(model: Model, train_seqs: list[TokenSequence],
@@ -222,10 +223,11 @@ def classify_supervised(classifier: Model,
     return [ANOMALY if p > 0.5 else NORMAL for p in scores], scores
 
 
-def run_supervised_study(records: list[LogRecord],
-                         config: AnomalyConfig) -> tuple[DetectionMetrics, list[Verdict]]:
+def run_supervised_study(records: list[LogRecord], config: AnomalyConfig
+                         ) -> tuple[DetectionMetrics, list[Verdict], Model]:
     """Pretrain without labels, fine-tune a two-way head on the train labels,
-    then classify the held-out tail."""
+    then classify the held-out tail. Returns the metrics, the verdicts and
+    the fine-tuned classifier."""
     pretrained, train_part, test_part, train_seqs, test_seqs = _prepare(records, config)
     classifier = fine_tune_supervised(pretrained, train_seqs,
                                       [r.label for r in train_part],
@@ -236,7 +238,7 @@ def run_supervised_study(records: list[LogRecord],
     metrics = compute_metrics(calls, [r.label for r in test_part])
     log.info("supervised study: F1 %.4f over %d test messages",
              metrics.f1, len(verdicts))
-    return metrics, verdicts
+    return metrics, verdicts, classifier
 
 
 def sweep_deltas(fractions: list[float], labels: list[str],

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import anomaly, evaluation, extraction, ingest, persistence
 from .errors import ConfigError, ValidationError
 from .model import ModelConfig, train
-from .tokenizer import WHITESPACE_FILTER, compile_filter, frame, tokenize
+from .tokenizer import UNK_ID, WHITESPACE_FILTER, compile_filter, frame, tokenize
 
 log = logging.getLogger(__name__)
 
@@ -92,14 +92,6 @@ def _write_csv(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _count_truncated(token_lists: list[list[str]], corpus,
-                     repeats: list[int]) -> int:
-    """Lines that frame() cut short because the frame holds fewer tokens;
-    the i-th token list stands for repeats[i] lines."""
-    return sum(n for n, seq, tokens in zip(repeats, corpus, token_lists)
-               if len(seq.tokens) < len(tokens))
-
-
 def _dataset_config(args) -> ingest.DatasetConfig:
     if args.config:
         return ingest.load_config(args.config)
@@ -116,8 +108,9 @@ def cmd_train(args) -> int:
     token_lists = [tokenize(r.content, pattern) for r in records]
     model = train(token_lists, ModelConfig(
         epochs=config.epochs, seed=seed, tokenization_filter=config.tokenization_filter,
-        epsilon=config.epsilon, **_model_dims(args)))
+        epsilon=config.epsilon, min_count=config.min_count, **_model_dims(args)))
     persistence.save_model(model, args.out_model)
+    occurrences = [model.vocab.encode(t) for tokens in token_lists for t in tokens]
     manifest = _write_manifest(
         args.out_model, "train", config.name,
         {
@@ -125,9 +118,12 @@ def cmd_train(args) -> int:
             "tokenization_filter": config.tokenization_filter,
             "epochs": config.epochs,
             "epsilon": config.epsilon,
+            "min_count": config.min_count,
             **_model_dims(args),
             "frame_length": model.config.frame_length,
             "vocab_size": model.config.vocab_size,
+            # share of training token occurrences that encode to UNK
+            "unknown_share": occurrences.count(UNK_ID) / len(occurrences),
             "final_loss": model.training_losses[-1] if model.training_losses else None,
             "losses": model.training_losses,
             # a multi-threaded BLAS changes training's floats
@@ -174,8 +170,10 @@ def cmd_parse(args) -> int:
                                            for n, seq in zip(repeats, corpus)),
                      "masked_inputs": built,
                      "masked_inputs_scored": scored,
-                     "messages_truncated": _count_truncated(token_lists, corpus,
-                                                            repeats)},
+                     # lines that frame() cut short; their cut tokens
+                     # are variables
+                     "messages_truncated": sum(n for n, seq in zip(repeats, corpus)
+                                               if seq.cut)},
                     None, started, [args.out, templates_path])
     log.info("parsed %d messages into %d templates", len(records), len(templates))
     return 0
@@ -258,9 +256,9 @@ def cmd_detect(args) -> int:
     config = anomaly.AnomalyConfig(delta=args.delta, normal_only=args.train_normal_only,
                                    model=model_config)
     if args.mode == "unsupervised":
-        metrics, verdicts = anomaly.run_unsupervised_study(records, config)
+        metrics, verdicts, model = anomaly.run_unsupervised_study(records, config)
     else:
-        metrics, verdicts = anomaly.run_supervised_study(records, config)
+        metrics, verdicts, model = anomaly.run_supervised_study(records, config)
     _write_csv(args.out, ["line_id", "fraction", "verdict", "label"],
                [(v.line_id, f"{v.fraction:.6f}", v.verdict, v.label)
                 for v in verdicts])
@@ -290,7 +288,10 @@ def cmd_detect(args) -> int:
                      "fraction": args.fraction,
                      "train_normal_only": args.train_normal_only,
                      "tokenization_filter": model_config.tokenization_filter,
-                     **_model_dims(args)},
+                     **_model_dims(args),
+                     "min_count": model.config.min_count,
+                     "vocab_size": model.config.vocab_size,
+                     "frame_length": model.config.frame_length},
                     seed, started, outputs)
     log.info("%s detection: accuracy %.4f precision %.4f recall %.4f F1 %.4f",
              args.mode, metrics.accuracy, metrics.precision, metrics.recall,

@@ -10,9 +10,9 @@ chunk_rows(model) inputs, one forward pass per chunk. A chunk's verdicts
 depend on nothing outside it, so the chunks are numerics tasks that the
 calling thread and the worker thread take in turn. A message's result
 does not depend on which other messages share its chunks or its masked
-inputs, nor on which thread scored them. Tokens the rule rejects become
-the placeholder and their original text is reported as that message's
-variable list, in token order.
+inputs, nor on which thread scored them. Tokens the rule rejects, and
+tokens past the frame, become the placeholder and their original text is
+reported as that message's variable list, in token order.
 """
 from __future__ import annotations
 
@@ -127,9 +127,11 @@ def constant_masks(model: Model, seqs: list[TokenSequence],
 
 
 def _template(seq: TokenSequence, constant: np.ndarray) -> tuple[str, list[str]]:
+    """The template and variables of a message; each token its frame cut
+    off is a variable, unscored, as the model never saw it."""
     parts = [tok if keep else PLACEHOLDER
-             for tok, keep in zip(seq.tokens, constant)]
-    variables = [tok for tok, keep in zip(seq.tokens, constant) if not keep]
+             for tok, keep in zip(seq.tokens, constant)] + [PLACEHOLDER] * len(seq.cut)
+    variables = [tok for tok, keep in zip(seq.tokens, constant) if not keep] + seq.cut
     return " ".join(parts), variables
 
 

@@ -40,6 +40,9 @@ class ModelConfig:
     tokenization filter its vocabulary was built with and epsilon.
 
     vocab_size and frame_length describe the corpus; train fills them in.
+    min_count is the fewest times train must see a token to give it an id;
+    rarer tokens encode to UNK. Like learning_rate it is a training setting:
+    an archive stores the vocabulary that training kept, not min_count.
     """
 
     vocab_size: int | None = None
@@ -54,10 +57,11 @@ class ModelConfig:
     seed: int = 7
     tokenization_filter: str = WHITESPACE_FILTER
     epsilon: int = 50
+    min_count: int = 2
 
     def __post_init__(self) -> None:
         for name in ("vocab_size", "frame_length", "d", "heads", "ffn_hidden",
-                     "blocks", "batch_size", "epsilon"):
+                     "blocks", "batch_size", "epsilon", "min_count"):
             value = getattr(self, name)
             if value is not None and value <= 0:
                 raise ValidationError(f"{name} must be positive, got {value}")
@@ -285,17 +289,18 @@ def train(token_lists: list[list[str]], config: ModelConfig,
     """Fit a model to tokenized lines by masked-token prediction: one random
     mask per line per epoch.
 
-    The vocabulary and the frame length come from every line and fill the
-    config's vocab_size and frame_length; training reads the lines keep
-    selects, all of them by default. Sample order is reshuffled every epoch
-    from the same seeded generator that drew the initial weights, so a seed
-    pins down the whole run.
+    The vocabulary (the tokens seen at least config.min_count times) and
+    the frame length come from every line and fill the config's vocab_size
+    and frame_length; training reads the lines keep selects, all of them by
+    default. Sample order is reshuffled every epoch from the same seeded
+    generator that drew the initial weights, so a seed pins down the whole
+    run.
     """
     if keep is None:
         keep = [True] * len(token_lists)
     elif len(keep) != len(token_lists):
         raise ValidationError(f"got {len(keep)} keep flags for {len(token_lists)} lines")
-    vocab = build_vocabulary(token_lists)
+    vocab = build_vocabulary(token_lists, config.min_count)
     config = replace(config, vocab_size=len(vocab),
                      frame_length=compute_frame_length(token_lists))
     corpus = [frame(tokens, config.frame_length, vocab, message_index=i)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -95,13 +96,18 @@ class Vocabulary:
         return list(self._id_to_token)
 
 
-def build_vocabulary(corpus: list[list[str]]) -> Vocabulary:
-    """Vocabulary over a tokenized corpus, ids assigned in first-appearance order."""
+def build_vocabulary(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
+    """Vocabulary over a tokenized corpus: the tokens seen at least
+    min_count times, ids assigned in first-appearance order. Rarer tokens
+    stay out and encode to UNK; min_count 1 keeps every token."""
     if not corpus:
         raise ValidationError("cannot build a vocabulary from an empty corpus")
+    if min_count < 1:
+        raise ValidationError(f"min_count must be >= 1, got {min_count}")
     vocab = Vocabulary()
-    for tokens in corpus:
-        for token in tokens:
+    # a Counter keeps its keys in first-appearance order
+    for token, count in Counter(t for tokens in corpus for t in tokens).items():
+        if count >= min_count:
             vocab.add(token)
     return vocab
 
@@ -119,11 +125,13 @@ def compute_frame_length(corpus: list[list[str]]) -> int:
 
 @dataclass
 class TokenSequence:
-    """A tokenized message together with its framed id vector."""
+    """A tokenized message together with its framed id vector; cut holds
+    the tokens past the frame, which frame() left out of tokens."""
 
     message_index: int
     tokens: list[str]
     framed_ids: np.ndarray = field(repr=False)
+    cut: list[str] = field(default_factory=list)
 
 
 def frame(tokens: list[str], frame_length: int, vocab: Vocabulary,
@@ -131,16 +139,18 @@ def frame(tokens: list[str], frame_length: int, vocab: Vocabulary,
     """Frame tokens as [CLS] + ids + PAD padding, frame_length ids in all.
 
     Messages longer than frame_length - 2 are truncated with a warning so
-    that unseen long messages survive online parsing.
+    that unseen long messages survive online parsing; the tokens cut off
+    are kept in the sequence's cut list.
     """
     if frame_length < 2:
         raise ValidationError(f"frame length must be at least 2, got {frame_length}")
     if len(tokens) > frame_length - 2:
         log.warning("message %d truncated from %d to %d tokens",
                     message_index, len(tokens), frame_length - 2)
-        tokens = tokens[: frame_length - 2]
+    tokens, cut = list(tokens[:frame_length - 2]), list(tokens[frame_length - 2:])
     ids = np.full(frame_length, PAD_ID, dtype=np.int64)
     ids[0] = CLS_ID
     for slot, token in enumerate(tokens, start=1):
         ids[slot] = vocab.encode(token)
-    return TokenSequence(message_index=message_index, tokens=list(tokens), framed_ids=ids)
+    return TokenSequence(message_index=message_index, tokens=tokens, framed_ids=ids,
+                         cut=cut)

@@ -164,8 +164,8 @@ def test_criterion_7_bgl_anomaly_detection():
     records = load_labeled_bgl(raw, fraction=fraction)
     assert len(records) >= min(total, 20000)
     config = AnomalyConfig()
-    unsup_metrics, _ = run_unsupervised_study(records, config)
-    sup_metrics, _ = run_supervised_study(records, config)
+    unsup_metrics, _, _ = run_unsupervised_study(records, config)
+    sup_metrics, _, _ = run_supervised_study(records, config)
     ok = unsup_metrics.f1 >= 0.90 and sup_metrics.f1 >= 0.95
     check(7, ok,
           f"{len(records)} lines: unsupervised F1 {unsup_metrics.f1:.4f} "

@@ -262,7 +262,7 @@ class TestUnsupervisedStudy:
     def test_separates_novel_messages(self):
         records = surprise_corpus()
         config = study_config(epochs=6)
-        metrics, verdicts = run_unsupervised_study(records, config)
+        metrics, verdicts, _ = run_unsupervised_study(records, config)
         assert metrics.f1 == 1.0
         assert metrics.accuracy == 1.0
         assert [v.line_id for v in verdicts] == list(range(41, 51))
@@ -274,24 +274,24 @@ class TestUnsupervisedStudy:
     def test_fractions_are_shares(self):
         records = surprise_corpus()
         config = study_config(epochs=2)
-        _, verdicts = run_unsupervised_study(records, config)
+        _, verdicts, _ = run_unsupervised_study(records, config)
         assert all(0.0 <= v.fraction <= 1.0 for v in verdicts)
 
     def test_empty_test_message_scores_zero_with_warning(self, caplog):
         records = surprise_corpus()
         records[44] = LogRecord(45, "", label=NORMAL)
         with caplog.at_level(logging.WARNING, logger="nulog.anomaly"):
-            _, verdicts = run_unsupervised_study(records,
-                                                 study_config(epochs=1))
+            _, verdicts, _ = run_unsupervised_study(records,
+                                                    study_config(epochs=1))
         assert "message 45 has no tokens; scoring it 0.0" in caplog.text
         empty = next(v for v in verdicts if v.line_id == 45)
         assert (empty.fraction, empty.verdict) == (0.0, NORMAL)
 
     def test_normal_only_filter_changes_nothing_without_train_anomalies(self):
         records = surprise_corpus()
-        metrics_a, _ = run_unsupervised_study(
+        metrics_a, _, _ = run_unsupervised_study(
             records, study_config(epochs=2))
-        metrics_b, _ = run_unsupervised_study(
+        metrics_b, _, _ = run_unsupervised_study(
             records, study_config(epochs=2, normal_only=True))
         assert metrics_a == metrics_b
 
@@ -374,7 +374,7 @@ class TestSupervisedStudy:
         records = signature_corpus()
         config = study_config(epochs=3, epochs_finetune=6,
                               learning_rate=1e-2, batch_size=8)
-        metrics, verdicts = run_supervised_study(records, config)
+        metrics, verdicts, _ = run_supervised_study(records, config)
         assert metrics.f1 == 1.0
         assert metrics.accuracy == 1.0
         assert [v.line_id for v in verdicts] == list(range(41, 51))
@@ -382,7 +382,7 @@ class TestSupervisedStudy:
     def test_verdict_fraction_is_the_anomaly_score(self):
         records = signature_corpus()
         config = study_config(epochs=1, epochs_finetune=2)
-        _, verdicts = run_supervised_study(records, config)
+        _, verdicts, _ = run_supervised_study(records, config)
         for v in verdicts:
             assert 0.0 <= v.fraction <= 1.0
             assert v.verdict == (ANOMALY if v.fraction > 0.5 else NORMAL)

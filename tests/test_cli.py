@@ -1,5 +1,6 @@
 """End-to-end command tests: every subcommand, its files, and exit codes."""
 import csv
+import hashlib
 import json
 import os
 import shutil
@@ -9,6 +10,7 @@ import sys
 import threading
 from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -149,6 +151,46 @@ class TestTrain:
         assert not out.exists()
         assert not Path(f"{out}.manifest.json").exists()
 
+    def test_manifest_records_what_the_vocabulary_kept(self, workspace):
+        config = json.loads(
+            Path(f"{workspace['model']}.manifest.json").read_text())["config"]
+        assert config["min_count"] == ModelConfig.min_count
+        # every synthetic value is seen once: 30 lines per event
+        tokens = [t for r in load_loghub_csv(workspace["data"])
+                  for t in tokenize(r.content, WHITESPACE_FILTER)]
+        values = sum(1 for t in tokens if t.startswith("val"))
+        assert config["unknown_share"] == values / len(tokens)
+        assert config["vocab_size"] == 4 + len(set(tokens)) - values
+
+    def test_min_count_one_keeps_the_every_token_archive(self, tmp_path):
+        # the sha256 that training without a min_count gave before the key
+        # existed, when every token got an id
+        corpus = synth.make_corpus(per_template=10, seed=11)
+        data = tmp_path / "synth.csv"
+        synth.write_content_csv(data, corpus)
+        config = tmp_path / "every.conf"
+        config.write_text("name=synth\ntokenization_filter=([ ])\n"
+                          "epochs=2\nepsilon=12\nmin_count=1\n", encoding="utf-8")
+        out = tmp_path / "every.nulog"
+        assert main(["train", "--data", str(data), "--config", str(config),
+                     "--out-model", str(out), "--seed", "7", *TINY_DIMS]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
+            "83ac74315fc83fa56ed991bc629a9d6a4d56024a21e4a84f0f6be6559b2b53cb"
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert (manifest["config"]["min_count"], manifest["config"]["unknown_share"]) \
+            == (1, 0.0)
+
+    @pytest.mark.parametrize("value", ["0", "x"])
+    def test_bad_min_count_is_config_error(self, workspace, tmp_path, capsys, value):
+        config = tmp_path / "bad.conf"
+        config.write_text(f"name=synth\ntokenization_filter=([ ])\nmin_count={value}\n",
+                          encoding="utf-8")
+        out = tmp_path / "bad.nulog"
+        assert main(["train", "--data", str(workspace["data"]), "--config", str(config),
+                     "--out-model", str(out), *TINY_DIMS]) == 3
+        assert "min_count" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_empty_training_data_is_validation_error(self, tmp_path):
         data = tmp_path / "empty.csv"
         data.write_text("LineId,Content\n", encoding="utf-8")
@@ -273,6 +315,30 @@ class TestParse:
         manifest = json.loads(Path(f"{out}.manifest.json").read_text())
         assert manifest["config"]["messages_truncated"] == 1
 
+    def test_tokens_past_the_frame_are_variables(self, tmp_path):
+        train_data = tmp_path / "short.csv"
+        train_data.write_text("LineId,Content\n1,a b c\n2,a b d\n3,a b e\n",
+                              encoding="utf-8")
+        model = tmp_path / "short.nulog"
+        assert main(["train", "--data", str(train_data),
+                     "--out-model", str(model), *TINY_DIMS]) == 0
+        parse_data = tmp_path / "long.csv"
+        parse_data.write_text("LineId,Content\n1,a b c x y z\n", encoding="utf-8")
+        out = tmp_path / "parsed.csv"
+        assert main(["parse", "--data", str(parse_data), "--model", str(model),
+                     "--out", str(out)]) == 0
+        [row] = read_csv(out)
+        parts, variables = row["template"].split(" "), json.loads(row["variables"])
+        assert parts[3:] == [PLACEHOLDER] * 3
+        assert variables[-3:] == ["x", "y", "z"]
+        # the row rebuilds its line
+        values = iter(variables)
+        assert [next(values) if p == PLACEHOLDER else p for p in parts] == \
+            ["a", "b", "c", "x", "y", "z"]
+        assert next(values, None) is None
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["config"]["messages_truncated"] == 1
+
     def test_repeated_lines_match_a_line_by_line_reference(self, workspace,
                                                            tmp_path):
         contents = [r.content for r in load_loghub_csv(workspace["data"])]
@@ -315,11 +381,13 @@ def parse_line_by_line(data, model_path, epsilon, out):
     model = load_model(model_path)
     rows, template_ids, counts = [], {}, Counter()
     for record in load_loghub_csv(data):
-        seq = frame(tokenize(record.content, WHITESPACE_FILTER),
-                    model.config.frame_length, model.vocab)
-        keep = constant_masks(model, [seq], epsilon)[0][0]
-        template = " ".join(t if k else PLACEHOLDER for t, k in zip(seq.tokens, keep))
-        variables = [t for t, k in zip(seq.tokens, keep) if not k]
+        tokens = tokenize(record.content, WHITESPACE_FILTER)
+        seq = frame(tokens, model.config.frame_length, model.vocab)
+        # tokens past the frame are variables, never scored
+        keep = [*constant_masks(model, [seq], epsilon)[0][0],
+                *[False] * (len(tokens) - len(seq.tokens))]
+        template = " ".join(t if k else PLACEHOLDER for t, k in zip(tokens, keep))
+        variables = [t for t, k in zip(tokens, keep) if not k]
         template_id = template_ids.setdefault(template, len(template_ids))
         counts[template_id] += 1
         rows.append((record.line_id, template_id, template,
@@ -647,13 +715,18 @@ class TestDetect:
         assert manifest["config"]["tokenization_filter"] == "([ ])"
         assert manifest["config"]["batch_size"] == 16
         assert manifest["seed"] == 7
+        # the 40 training lines are 5 constants and a once-seen seq<i>
+        assert manifest["config"]["min_count"] == ModelConfig.min_count
+        assert manifest["config"]["vocab_size"] == 4 + 5
+        assert manifest["config"]["frame_length"] == 6 + 2
 
     def test_flags_set_the_pretrained_model(self, tmp_path, monkeypatch):
         studied = []
 
         def study(records, config):
             studied.append(config)
-            return anomaly.DetectionMetrics(0.0, 0.0, 0.0, 0.0), []
+            return (anomaly.DetectionMetrics(0.0, 0.0, 0.0, 0.0), [],
+                    SimpleNamespace(config=config.model))
 
         monkeypatch.setattr(anomaly, "run_unsupervised_study", study)
         code, _ = self.run(tmp_path, extra=["--delta", "0.25", "--seed", "3",
@@ -673,6 +746,9 @@ class TestDetect:
         assert code == 0
         assert len(read_csv(out)) == 10
         assert Path(out).with_suffix(".metrics.csv").exists()
+        config = json.loads(Path(f"{out}.manifest.json").read_text())["config"]
+        assert (config["min_count"], config["vocab_size"], config["frame_length"]) == \
+            (ModelConfig.min_count, 4 + 5, 6 + 2)
 
     def test_supervised_sweep_is_config_error(self, tmp_path, capsys):
         # the delta sweep only applies to threshold verdicts; the flag is

@@ -11,8 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import synth
 from stubs import ScoringStub, guesses_missing_constants
 from nulog.errors import ShapeError, ValidationError
+from nulog.evaluation import parsing_accuracy
 from nulog import extraction, masking, numerics
 from nulog.extraction import (PLACEHOLDER, chunk_rows, constant_masks,
                               parse_corpus)
@@ -114,7 +116,8 @@ class TestConstantMask:
             probs = model.predict_masked_batch(masked.inputs)[masked.input_of]
             for epsilon in (1, 3, len(model.vocab)):
                 mask = mask_alone(model, seq, epsilon)
-                expected = [loop_rank(p, target) < epsilon
+                # an unknown token is never constant
+                expected = [target != UNK_ID and loop_rank(p, target) < epsilon
                             for p, target in zip(probs, masked.targets)]
                 assert mask.tolist() == expected
 
@@ -149,7 +152,7 @@ class TestConstantMasks:
         # same input, held by more samples than one chunk ranks at a time
         seqs, model = trained_corpus(
             [f"session s{i} opened" for i in range(300)] + ["session s7 opened"],
-            d=16, heads=2, ffn_hidden=32, epochs=2, batch_size=32, seed=7)
+            d=16, heads=2, ffn_hidden=32, epochs=2, batch_size=32, seed=7, min_count=1)
         set_chunk_rows(monkeypatch, model, 256)
         samples = [ids.tobytes() for seq in seqs for ids, _ in masked_frames(seq)]
         distinct = set(samples)
@@ -207,7 +210,8 @@ class TestConstantMasks:
         # "alpha <M>" is shared by an unknown and a known token; "gamma <M>"
         # hides unknown tokens alone, in two messages
         _, model = trained_corpus(["alpha beta", "gamma delta", "beta gamma"],
-                                  d=16, heads=2, ffn_hidden=32, epochs=1, seed=7)
+                                  d=16, heads=2, ffn_hidden=32, epochs=1, seed=7,
+                                  min_count=1)
         seqs = [frame(tokens.split(), model.config.frame_length, model.vocab,
                       message_index=i)
                 for i, tokens in enumerate(["alpha zzz", "alpha beta", "gamma zzz",
@@ -530,3 +534,47 @@ class TestParseCorpus:
         assert templates == [f"b {PLACEHOLDER}", f"a {PLACEHOLDER}",
                              f"c {PLACEHOLDER}"]
         assert [p.template_id for p in parsed] == [0, 1, 0, 2, 1]
+
+
+class TestRareTokens:
+    """At the default min_count a value seen once in training is UNK, which
+    is never constant, so every line of an event shares its masked inputs."""
+
+    @staticmethod
+    def parse(corpus, train_lines):
+        """Train at the default settings on the first train_lines lines and
+        parse every line."""
+        token_lists = [tokenize(c, WHITESPACE_FILTER) for c in corpus.contents]
+        model = train(token_lists[:train_lines], ModelConfig())
+        seqs = [frame(toks, model.config.frame_length, model.vocab, message_index=i)
+                for i, toks in enumerate(token_lists, start=1)]
+        return parse_corpus(model, seqs, model.config.epsilon)
+
+    def test_unique_values_recover_the_five_templates(self):
+        # 2,000 lines whose every value is unique; with an id for every
+        # token (min_count 1) the same parse gives GA 0.2 and 210 templates
+        corpus = synth.make_corpus(per_template=400)
+        parsed, templates, _, _ = self.parse(corpus, len(corpus.contents))
+        assert sorted(templates) == sorted(synth.expected_templates())
+        accuracy = parsing_accuracy({i: p.template_id for i, p in enumerate(parsed)},
+                                    dict(enumerate(corpus.event_ids)))
+        assert accuracy == 1.0
+
+    def test_held_out_lines_get_their_event_s_template(self):
+        corpus = synth.make_corpus(per_template=200)
+        parsed, _, _, _ = self.parse(corpus, len(corpus.contents) // 2)
+        expected = synth.expected_templates()
+        assert [p.template for p in parsed] == \
+            [expected[int(event[1:]) - 1] for event in corpus.event_ids]
+
+    def test_one_off_events_of_equal_length_share_a_template(self):
+        # a known limit: every token of an event seen once is UNK, so the
+        # event parses to placeholders alone, whatever the model predicts
+        seqs, model = trained_corpus(
+            [f"disk d{i} full" for i in range(20)]
+            + ["alpha beta gamma", "delta epsilon zeta"],
+            d=16, heads=2, ffn_hidden=32, epochs=1, seed=7)
+        parsed, _, _, _ = parse_corpus(model, seqs, epsilon=len(model.vocab))
+        assert parsed[-2].template == parsed[-1].template == " ".join([PLACEHOLDER] * 3)
+        assert parsed[-2].template_id == parsed[-1].template_id
+        assert parsed[0].template == f"disk {PLACEHOLDER} full"

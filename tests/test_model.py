@@ -13,7 +13,7 @@ from nulog import masking, numerics
 from nulog.errors import ConfigError, ShapeError, ValidationError
 from nulog.model import Model, ModelConfig, positional_encoding, train, train_epoch
 from nulog.numerics import OptimizerState, Tensor, cross_entropy
-from nulog.tokenizer import CLS_ID, MASK_ID, frame, tokenize, WHITESPACE_FILTER
+from nulog.tokenizer import CLS_ID, MASK_ID, UNK_ID, frame, tokenize, WHITESPACE_FILTER
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -60,6 +60,8 @@ class TestModelConfig:
             tiny_config(vocab_size=-1)
         with pytest.raises(ValidationError, match="epsilon"):
             tiny_config(epsilon=0)
+        with pytest.raises(ValidationError, match="min_count"):
+            ModelConfig(min_count=0)
 
     def test_filter_must_compile(self):
         with pytest.raises(ConfigError, match="tokenization filter"):
@@ -74,6 +76,7 @@ class TestModelConfig:
             (256, 4, 512, 1)
         assert (config.epochs, config.batch_size, config.seed) == (5, 32, 7)
         assert (config.tokenization_filter, config.epsilon) == (WHITESPACE_FILTER, 50)
+        assert config.min_count == 2
 
 
 class TestPositionalEncoding:
@@ -348,7 +351,7 @@ class TestPredictMasked:
 
     def test_untrained_loss_near_log_vocab(self):
         model, seqs = fit([f"msg number {i} with words w{i}" for i in range(30)],
-                          d=16, heads=2, ffn_hidden=32, epochs=0, seed=7)
+                          d=16, heads=2, ffn_hidden=32, epochs=0, seed=7, min_count=1)
         vocab_size = len(model.vocab)
         masked = [masking.enumerate_masks([s]) for s in seqs]
         ids = np.stack([m.inputs[0] for m in masked])
@@ -399,19 +402,46 @@ class TestTrain:
 
     def test_vocabulary_and_frame_come_from_every_line(self):
         token_lists = [["a", "b"], ["c", "d", "e", "f"], ["a", "g"]]
-        model = train(token_lists, tiny_config(vocab_size=None, frame_length=None))
+        model = train(token_lists, tiny_config(vocab_size=None, frame_length=None,
+                                               min_count=1))
         assert model.vocab.tokens()[4:] == ["a", "b", "c", "d", "e", "f", "g"]
         assert (model.config.vocab_size, model.config.frame_length) == (11, 6)
         assert model.params["tok_emb"].data.shape == (11, 8)
         # a config's corpus fields are replaced, not trusted
-        stale = train(token_lists, tiny_config(vocab_size=99, frame_length=40))
+        stale = train(token_lists, tiny_config(vocab_size=99, frame_length=40,
+                                               min_count=1))
         assert (stale.config.vocab_size, stale.config.frame_length) == (11, 6)
+
+    def test_tokens_seen_fewer_than_min_count_times_are_unknown(self):
+        token_lists = [["a", "b"], ["a", "c", "d", "e"], ["b", "a"]]
+        model = train(token_lists, tiny_config(vocab_size=None, frame_length=None))
+        assert model.vocab.tokens()[4:] == ["a", "b"]
+        assert [model.vocab.encode(t) for t in ("c", "d", "e")] == [UNK_ID] * 3
+        # the frame still fits the longest line, unknown tokens and all
+        assert (model.config.vocab_size, model.config.frame_length) == (6, 6)
+        assert train(token_lists, tiny_config(min_count=3)).vocab.tokens()[4:] == ["a"]
+
+    def test_training_predicts_unknown_for_rare_tokens(self, monkeypatch):
+        drawn = []
+
+        def recording(seqs, rng):
+            ids, targets = random_masks(seqs, rng)
+            drawn.extend(targets.tolist())
+            return ids, targets
+
+        random_masks = masking.random_masks
+        monkeypatch.setattr(masking, "random_masks", recording)
+        lines = [["job", f"j{i}", "done"] for i in range(20)]
+        train(lines, tiny_config(epochs=3))
+        assert UNK_ID in drawn
+        assert set(drawn) <= {UNK_ID, 4, 5}
 
     def test_keep_trains_on_the_selected_lines_only(self):
         kept = [tokenize(m, WHITESPACE_FILTER) for m in two_template_messages(n_per=6)]
-        # dropped lines that add no token and no length: only the samples differ
+        # dropped lines that add no token and no length: only the samples
+        # differ, as long as every token counts (min_count 1)
         lines = kept + kept[:5]
-        config = tiny_config(vocab_size=None, frame_length=None, epochs=2)
+        config = tiny_config(vocab_size=None, frame_length=None, epochs=2, min_count=1)
         selected = train(lines, config, [True] * len(kept) + [False] * 5)
         alone = train(kept, config)
         everything = train(lines, config)
@@ -422,7 +452,7 @@ class TestTrain:
 
     def test_keep_leaves_the_vocabulary_and_frame_to_every_line(self):
         lines = [["a", "b"], ["c", "d", "e", "f", "g"]]
-        model = train(lines, tiny_config(), [True, False])
+        model = train(lines, tiny_config(min_count=1), [True, False])
         assert model.vocab.encode("g") == 10
         assert model.config.frame_length == 7
 

@@ -320,8 +320,9 @@ class TestLoadValidation:
         with pytest.raises(ArchiveError, match="head.b is stored twice"):
             load_model(bad)
 
-    def test_repeated_vocabulary_token(self, trained, tmp_path):
-        blob = self.archive(trained, tmp_path)
+    def test_repeated_vocabulary_token(self, tmp_path):
+        # min_count 1 gives the once-seen token 22 an id
+        blob = self.archive((untrained(min_count=1), None), tmp_path)
         marker = struct.pack("<I", 2) + b"22"
         assert marker in blob
         bad = tmp_path / "bad.nulog"

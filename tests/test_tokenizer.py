@@ -121,6 +121,57 @@ class TestVocabulary:
             assert vocab.decode(vocab.encode(t)) == t
 
 
+class TestMinCount:
+    """build_vocabulary keeps the tokens seen at least min_count times."""
+
+    CORPUS = [["b", "a", "x"], ["a", "c", "b"], ["y", "c", "a"]]
+
+    def test_one_keeps_every_token_in_first_appearance_order(self):
+        vocab = build_vocabulary(self.CORPUS, min_count=1)
+        assert vocab.tokens() == build_vocabulary(self.CORPUS).tokens()
+        assert vocab.tokens()[4:] == ["b", "a", "x", "c", "y"]
+
+    def test_rarer_tokens_encode_to_unk(self):
+        vocab = build_vocabulary(self.CORPUS, min_count=2)
+        assert [vocab.encode(t) for t in ("x", "y")] == [UNK_ID, UNK_ID]
+        assert build_vocabulary(self.CORPUS, min_count=3).tokens()[4:] == ["a"]
+        assert build_vocabulary(self.CORPUS, min_count=4).tokens() == list(SPECIAL_TOKENS)
+
+    def test_kept_ids_follow_first_appearance(self):
+        # "c" first appears after "x", which is dropped, so it takes id 6
+        vocab = build_vocabulary(self.CORPUS, min_count=2)
+        assert vocab.tokens()[4:] == ["b", "a", "c"]
+        assert [vocab.encode(t) for t in ("b", "a", "c")] == [4, 5, 6]
+
+    def test_counts_are_occurrences_not_lines(self):
+        vocab = build_vocabulary([["a", "a"], ["b"]], min_count=2)
+        assert vocab.tokens()[4:] == ["a"]
+
+    @pytest.mark.parametrize("min_count", [0, -1])
+    def test_below_one_rejected(self, min_count):
+        with pytest.raises(ValidationError, match="min_count"):
+            build_vocabulary([["a"]], min_count=min_count)
+
+    @given(st.lists(st.lists(st.text(alphabet="abcdef", min_size=1, max_size=3),
+                             max_size=6), min_size=1, max_size=20),
+           st.integers(min_value=1, max_value=5))
+    def test_matches_a_counting_loop(self, corpus, min_count):
+        # k = 1: one add per token in corpus order; any k: the same order
+        # with the rarer tokens left out
+        counts: dict[str, int] = {}
+        for tokens in corpus:
+            for token in tokens:
+                counts[token] = counts.get(token, 0) + 1
+        expected = Vocabulary()
+        for tokens in corpus:
+            for token in tokens:
+                if counts[token] >= min_count:
+                    expected.add(token)
+        assert build_vocabulary(corpus, min_count).tokens() == expected.tokens()
+        if min_count == 1:
+            assert build_vocabulary(corpus).tokens() == expected.tokens()
+
+
 class TestFrameLength:
     def test_max_plus_one(self):
         # CLS, then the longest message plus one PAD
@@ -160,6 +211,12 @@ class TestFrame:
         assert len(seq.tokens) == 3
         assert len(seq.framed_ids) == 5
         assert any("truncat" in rec.message for rec in caplog.records)
+
+    def test_tokens_past_the_frame_are_kept_as_cut(self):
+        vocab = build_vocabulary([["a"]])
+        seq = frame(["a", "b", "c", "d", "e"], 5, vocab)
+        assert (seq.tokens, seq.cut) == (["a", "b", "c"], ["d", "e"])
+        assert frame(["a", "b"], 5, vocab).cut == []
 
     def test_payload_below_one_rejected(self):
         vocab = build_vocabulary([["a"]])
