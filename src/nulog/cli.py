@@ -108,7 +108,7 @@ def cmd_train(args) -> int:
     token_lists = [tokenize(r.content, pattern) for r in records]
     model = train(token_lists, ModelConfig(
         epochs=config.epochs, seed=seed, tokenization_filter=config.tokenization_filter,
-        epsilon=config.epsilon, min_count=config.min_count, **_model_dims(args)))
+        epsilon=config.epsilon, **_model_dims(args)))
     persistence.save_model(model, args.out_model)
     occurrences = [model.vocab.encode(t) for tokens in token_lists for t in tokens]
     manifest = _write_manifest(
@@ -118,7 +118,7 @@ def cmd_train(args) -> int:
             "tokenization_filter": config.tokenization_filter,
             "epochs": config.epochs,
             "epsilon": config.epsilon,
-            "min_count": config.min_count,
+            "min_count": model.config.min_count,
             **_model_dims(args),
             "frame_length": model.config.frame_length,
             "vocab_size": model.config.vocab_size,

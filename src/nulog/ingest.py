@@ -9,7 +9,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import ConfigError, SchemaError, ValidationError
-from .model import ModelConfig
 from .tokenizer import compile_filter
 
 log = logging.getLogger(__name__)
@@ -31,14 +30,12 @@ class LogRecord:
 
 @dataclass
 class DatasetConfig:
-    """Per-dataset knobs: how to split tokens, how hard to train, and how
-    often a token must appear to get its own id."""
+    """Per-dataset knobs: how to split tokens and how hard to train."""
 
     name: str
     tokenization_filter: str
     epochs: int = 5
     epsilon: int = 50
-    min_count: int = ModelConfig.min_count
 
     def __post_init__(self) -> None:
         if not self.name:
@@ -47,13 +44,11 @@ class DatasetConfig:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
         if self.epsilon < 1:
             raise ValidationError(f"epsilon must be >= 1, got {self.epsilon}")
-        if self.min_count < 1:
-            raise ValidationError(f"min_count must be >= 1, got {self.min_count}")
         compile_filter(self.tokenization_filter)
 
 
-_CONFIG_KEYS = ("name", "tokenization_filter", "epochs", "epsilon", "min_count")
-_INT_KEYS = ("epochs", "epsilon", "min_count")
+_CONFIG_KEYS = ("name", "tokenization_filter", "epochs", "epsilon")
+_INT_KEYS = ("epochs", "epsilon")
 
 
 def load_config(path: str | Path) -> DatasetConfig:

@@ -41,8 +41,8 @@ class ModelConfig:
 
     vocab_size and frame_length describe the corpus; train fills them in.
     min_count is the fewest times train must see a token to give it an id;
-    rarer tokens encode to UNK. Like learning_rate it is a training setting:
-    an archive stores the vocabulary that training kept, not min_count.
+    rarer tokens encode to UNK. An archive stores the vocabulary that
+    training kept, not min_count, so a loaded model's min_count is None.
     """
 
     vocab_size: int | None = None
@@ -57,7 +57,7 @@ class ModelConfig:
     seed: int = 7
     tokenization_filter: str = WHITESPACE_FILTER
     epsilon: int = 50
-    min_count: int = 2
+    min_count: int | None = 2
 
     def __post_init__(self) -> None:
         for name in ("vocab_size", "frame_length", "d", "heads", "ffn_hidden",
@@ -300,6 +300,8 @@ def train(token_lists: list[list[str]], config: ModelConfig,
         keep = [True] * len(token_lists)
     elif len(keep) != len(token_lists):
         raise ValidationError(f"got {len(keep)} keep flags for {len(token_lists)} lines")
+    if config.min_count is None:
+        raise ValidationError("train needs a min_count; a loaded config has none")
     vocab = build_vocabulary(token_lists, config.min_count)
     config = replace(config, vocab_size=len(vocab),
                      frame_length=compute_frame_length(token_lists))

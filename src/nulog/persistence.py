@@ -117,7 +117,9 @@ def load_model(path: str | Path) -> Model:
     scalars = {name: reader.u32() for name in _CONFIG_SCALARS}
     tokenization_filter = reader.utf8()
     try:
-        config = ModelConfig(**scalars, tokenization_filter=tokenization_filter)
+        # the archive does not store min_count: it is unknown, not the default
+        config = ModelConfig(**scalars, tokenization_filter=tokenization_filter,
+                             min_count=None)
     except (ConfigError, ValidationError) as exc:
         raise ArchiveError(f"{path}: {exc}") from exc
     vocab_count = reader.u32()

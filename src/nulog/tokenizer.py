@@ -96,14 +96,12 @@ class Vocabulary:
         return list(self._id_to_token)
 
 
-def build_vocabulary(corpus: list[list[str]], min_count: int = 1) -> Vocabulary:
+def build_vocabulary(corpus: list[list[str]], min_count: int) -> Vocabulary:
     """Vocabulary over a tokenized corpus: the tokens seen at least
     min_count times, ids assigned in first-appearance order. Rarer tokens
     stay out and encode to UNK; min_count 1 keeps every token."""
     if not corpus:
         raise ValidationError("cannot build a vocabulary from an empty corpus")
-    if min_count < 1:
-        raise ValidationError(f"min_count must be >= 1, got {min_count}")
     vocab = Vocabulary()
     # a Counter keeps its keys in first-appearance order
     for token, count in Counter(t for tokens in corpus for t in tokens).items():

@@ -42,7 +42,7 @@ def variables_alone(model, seq, epsilon):
 
 def make_seq(words, corpus_words=None):
     corpus = [list(corpus_words if corpus_words is not None else words)]
-    vocab = build_vocabulary(corpus)
+    vocab = build_vocabulary(corpus, min_count=1)
     return frame(list(words), compute_frame_length(corpus), vocab), vocab
 
 

@@ -1,6 +1,5 @@
 """End-to-end command tests: every subcommand, its files, and exit codes."""
 import csv
-import hashlib
 import json
 import os
 import shutil
@@ -161,35 +160,6 @@ class TestTrain:
         values = sum(1 for t in tokens if t.startswith("val"))
         assert config["unknown_share"] == values / len(tokens)
         assert config["vocab_size"] == 4 + len(set(tokens)) - values
-
-    def test_min_count_one_keeps_the_every_token_archive(self, tmp_path):
-        # the sha256 that training without a min_count gave before the key
-        # existed, when every token got an id
-        corpus = synth.make_corpus(per_template=10, seed=11)
-        data = tmp_path / "synth.csv"
-        synth.write_content_csv(data, corpus)
-        config = tmp_path / "every.conf"
-        config.write_text("name=synth\ntokenization_filter=([ ])\n"
-                          "epochs=2\nepsilon=12\nmin_count=1\n", encoding="utf-8")
-        out = tmp_path / "every.nulog"
-        assert main(["train", "--data", str(data), "--config", str(config),
-                     "--out-model", str(out), "--seed", "7", *TINY_DIMS]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == \
-            "83ac74315fc83fa56ed991bc629a9d6a4d56024a21e4a84f0f6be6559b2b53cb"
-        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
-        assert (manifest["config"]["min_count"], manifest["config"]["unknown_share"]) \
-            == (1, 0.0)
-
-    @pytest.mark.parametrize("value", ["0", "x"])
-    def test_bad_min_count_is_config_error(self, workspace, tmp_path, capsys, value):
-        config = tmp_path / "bad.conf"
-        config.write_text(f"name=synth\ntokenization_filter=([ ])\nmin_count={value}\n",
-                          encoding="utf-8")
-        out = tmp_path / "bad.nulog"
-        assert main(["train", "--data", str(workspace["data"]), "--config", str(config),
-                     "--out-model", str(out), *TINY_DIMS]) == 3
-        assert "min_count" in capsys.readouterr().err
-        assert not out.exists()
 
     def test_empty_training_data_is_validation_error(self, tmp_path):
         data = tmp_path / "empty.csv"

@@ -26,7 +26,7 @@ from nulog.tokenizer import (CLS_ID, MASK_ID, PAD_ID, UNK_ID, WHITESPACE_FILTER,
 
 def framed_corpus(messages):
     token_lists = [tokenize(m, WHITESPACE_FILTER) for m in messages]
-    vocab = build_vocabulary(token_lists)
+    vocab = build_vocabulary(token_lists, min_count=1)
     frame_length = compute_frame_length(token_lists)
     seqs = [frame(toks, frame_length, vocab, message_index=i)
             for i, toks in enumerate(token_lists)]
@@ -122,7 +122,7 @@ class TestConstantMask:
                 assert mask.tolist() == expected
 
     def test_unknown_token_is_never_constant(self):
-        vocab = build_vocabulary([["alpha", "beta"]])
+        vocab = build_vocabulary([["alpha", "beta"]], min_count=1)
         seq = frame(["alpha", "zzz", "beta"], 5, vocab, message_index=0)
         model = guesses_missing_constants(len(vocab), range(len(vocab)))
         assert mask_alone(model, seq, epsilon=len(vocab)).tolist() == \
@@ -240,7 +240,7 @@ class TestConstantMasks:
 
 
 ORACLE_WORDS = ["a", "b", "c", "d", "e"]
-ORACLE_VOCAB = build_vocabulary([ORACLE_WORDS])
+ORACLE_VOCAB = build_vocabulary([ORACLE_WORDS], min_count=1)
 ORACLE_FRAME = 6  # four tokens fill it
 ORACLE_MODEL = Model(ModelConfig(vocab_size=len(ORACLE_VOCAB), frame_length=ORACLE_FRAME,
                                  d=8, heads=2, ffn_hidden=16, seed=5))
@@ -442,7 +442,7 @@ class TestExtractTemplate:
 
     def test_unknown_token_is_always_variable(self):
         token_lists = [["alpha", "beta"]]
-        vocab = build_vocabulary(token_lists)
+        vocab = build_vocabulary(token_lists, min_count=1)
         seq = frame(["alpha", "zzz"], 4, vocab, message_index=0)
         assert seq.framed_ids[2] == UNK_ID
         model = guesses_missing_constants(len(vocab), range(len(vocab)))

@@ -2,7 +2,6 @@
 import pytest
 
 from nulog.errors import ConfigError, SchemaError, ValidationError
-from nulog.model import ModelConfig
 from nulog.ingest import (ANOMALY, NORMAL, DatasetConfig, LogRecord,
                           load_config, load_labeled_bgl, load_loghub_csv,
                           read_table)
@@ -28,15 +27,6 @@ class TestDatasetConfig:
     def test_nonpositive_epsilon_rejected(self):
         with pytest.raises(ValidationError):
             DatasetConfig(name="x", tokenization_filter=r"([ ])", epsilon=0)
-
-    def test_min_count_defaults_to_the_model_s(self):
-        config = DatasetConfig(name="x", tokenization_filter=r"([ ])")
-        assert config.min_count == ModelConfig.min_count == 2
-
-    @pytest.mark.parametrize("min_count", [0, -1])
-    def test_min_count_below_one_rejected(self, min_count):
-        with pytest.raises(ValidationError, match="min_count"):
-            DatasetConfig(name="x", tokenization_filter=r"([ ])", min_count=min_count)
 
     def test_invalid_filter_rejected(self):
         with pytest.raises(ConfigError):
@@ -112,17 +102,6 @@ class TestLoadConfig:
         path = self.write(tmp_path,
                           "name=x\ntokenization_filter=([ ])\nepochs=many\n")
         with pytest.raises(ConfigError, match="epochs"):
-            load_config(path)
-
-    def test_min_count_key(self, tmp_path):
-        path = self.write(tmp_path, "name=x\ntokenization_filter=([ ])\nmin_count=3\n")
-        assert load_config(path).min_count == 3
-
-    @pytest.mark.parametrize("value", ["0", "x", "1.5"])
-    def test_bad_min_count_is_config_error(self, tmp_path, value):
-        path = self.write(tmp_path,
-                          f"name=x\ntokenization_filter=([ ])\nmin_count={value}\n")
-        with pytest.raises(ConfigError, match="min_count"):
             load_config(path)
 
     def test_invalid_range_surfaces_as_config_error(self, tmp_path):

@@ -8,7 +8,7 @@ from nulog.tokenizer import (CLS_ID, MASK_ID, PAD_ID, build_vocabulary, frame)
 
 
 def make_seq(tokens, frame_length=None):
-    vocab = build_vocabulary([tokens] if tokens else [["a"]])
+    vocab = build_vocabulary([tokens] if tokens else [["a"]], min_count=1)
     if frame_length is None:
         frame_length = max(len(tokens) + 2, 3)
     return frame(tokens, frame_length, vocab), vocab
@@ -48,7 +48,7 @@ class TestSampleRandomMask:
             assert abs(counts[position] / n - 0.25) < 0.02
 
     def test_empty_message_gives_skip_signal(self):
-        vocab = build_vocabulary([["a", "b"]])
+        vocab = build_vocabulary([["a", "b"]], min_count=1)
         seqs = [frame(tokens, 4, vocab) for tokens in ([], ["a"], [], ["a", "b"], [])]
         ids, targets = random_masks(seqs, np.random.default_rng(0))
         assert ids.shape == (2, 4) and targets.shape == (2,)
@@ -58,7 +58,7 @@ class TestSampleRandomMask:
         assert len(ids) == len(targets) == 0
 
     def test_mask_replaces_only_chosen_slot(self):
-        vocab = build_vocabulary([["a", "b", "c"]])
+        vocab = build_vocabulary([["a", "b", "c"]], min_count=1)
         seqs = [frame(tokens, 5, vocab) for tokens in (["a", "b", "c"], ["c", "a"], ["b"])]
         ids, targets = random_masks(seqs, np.random.default_rng(9))
         order = np.random.default_rng(9).permutation(len(seqs))
@@ -71,7 +71,7 @@ class TestSampleRandomMask:
                     max_size=12),
            st.integers(min_value=0, max_value=2 ** 63 - 1))
     def test_matches_one_scalar_draw_per_message(self, token_lists, seed):
-        vocab = build_vocabulary([["a", "b", "c", "<PAD>"]])
+        vocab = build_vocabulary([["a", "b", "c", "<PAD>"]], min_count=1)
         seqs = [frame(tokens, 42, vocab) for tokens in token_lists]
         rng = np.random.default_rng(seed)
         ids, targets = random_masks(seqs, rng)
@@ -93,7 +93,7 @@ class TestSampleRandomMask:
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=8), max_size=5),
            st.integers(min_value=0, max_value=2 ** 31 - 1))
     def test_specials_never_masked_and_frames_restore(self, token_lists, seed):
-        vocab = build_vocabulary([["a", "b", "c"]])
+        vocab = build_vocabulary([["a", "b", "c"]], min_count=1)
         seqs = [frame(tokens, 11, vocab) for tokens in token_lists]
         ids, targets = random_masks(seqs, np.random.default_rng(seed))
         order = [i for i in np.random.default_rng(seed).permutation(len(seqs))
@@ -134,7 +134,7 @@ class TestEnumerateMasks:
         assert masked.targets.tolist() == [vocab.encode(t) for t in seq.tokens]
 
     def test_shared_inputs_are_one_row_in_first_appearance_order(self):
-        vocab = build_vocabulary([["a", "b", "c", "d"]])
+        vocab = build_vocabulary([["a", "b", "c", "d"]], min_count=1)
         seqs = [frame(tokens, 5, vocab) for tokens in
                 (["a", "b", "c"], ["a", "b", "d"], [], ["a", "b", "c"])]
         masked = enumerate_masks(seqs)
@@ -147,7 +147,7 @@ class TestEnumerateMasks:
 
     @given(st.lists(st.lists(st.sampled_from(["a", "b", "c"]), max_size=8), max_size=5))
     def test_specials_never_masked_and_frames_restore(self, token_lists):
-        vocab = build_vocabulary([["a", "b", "c"]])
+        vocab = build_vocabulary([["a", "b", "c"]], min_count=1)
         seqs = [frame(tokens, 11, vocab) for tokens in token_lists]
         masked = enumerate_masks(seqs)
         frames = sample_frames(masked)

@@ -8,12 +8,16 @@ import threading
 import numpy as np
 import pytest
 
+import synth
 from gradcheck import finite_difference_check
 from nulog import masking, numerics
+from nulog import model as model_module
 from nulog.errors import ConfigError, ShapeError, ValidationError
 from nulog.model import Model, ModelConfig, positional_encoding, train, train_epoch
 from nulog.numerics import OptimizerState, Tensor, cross_entropy
-from nulog.tokenizer import CLS_ID, MASK_ID, UNK_ID, frame, tokenize, WHITESPACE_FILTER
+from nulog.persistence import save_model
+from nulog.tokenizer import (CLS_ID, MASK_ID, UNK_ID, Vocabulary, frame, tokenize,
+                             WHITESPACE_FILTER)
 
 
 def tiny_config(**overrides) -> ModelConfig:
@@ -420,6 +424,29 @@ class TestTrain:
         # the frame still fits the longest line, unknown tokens and all
         assert (model.config.vocab_size, model.config.frame_length) == (6, 6)
         assert train(token_lists, tiny_config(min_count=3)).vocab.tokens()[4:] == ["a"]
+
+    def test_min_count_one_trains_the_every_token_archive(self, monkeypatch, tmp_path):
+        # min_count 1 writes the archive that a vocabulary built by one add
+        # per token gives, as every token got an id before min_count
+        def every_token(corpus, min_count):
+            vocab = Vocabulary()
+            for tokens in corpus:
+                for token in tokens:
+                    vocab.add(token)
+            return vocab
+
+        token_lists = [tokenize(line, WHITESPACE_FILTER)
+                       for line in synth.make_corpus(per_template=10, seed=11).contents]
+        config = tiny_config(vocab_size=None, frame_length=None, epochs=2, min_count=1)
+        save_model(train(token_lists, config), tmp_path / "k1.nulog")
+        monkeypatch.setattr(model_module, "build_vocabulary", every_token)
+        save_model(train(token_lists, config), tmp_path / "every.nulog")
+        assert (tmp_path / "k1.nulog").read_bytes() == \
+            (tmp_path / "every.nulog").read_bytes()
+        # the corpus has once-seen values, so the default k keeps fewer
+        monkeypatch.undo()
+        assert len(train(token_lists, tiny_config(epochs=0)).vocab) < \
+            len(every_token(token_lists, 1))
 
     def test_training_predicts_unknown_for_rare_tokens(self, monkeypatch):
         drawn = []

@@ -80,8 +80,19 @@ class TestRoundTrip:
         path = tmp_path / "model.nulog"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.config == model.config
+        # min_count is a training setting the archive does not store
+        assert loaded.config == dataclasses.replace(model.config, min_count=None)
         assert loaded.vocab.tokens() == model.vocab.tokens()
+
+    def test_min_count_is_unknown_after_load(self, tmp_path):
+        path = tmp_path / "model.nulog"
+        save_model(untrained(min_count=1), path)
+        loaded = load_model(path)
+        # whatever k training used, the loaded config does not claim one
+        assert loaded.config.min_count is None
+        assert len(loaded.vocab) == 4 + 8
+        with pytest.raises(ValidationError, match="min_count"):
+            train(TOKEN_LISTS, loaded.config)
 
     def test_corpus_token_spelled_like_a_special_survives(self, tmp_path):
         token_lists = [["<PAD>", "up"], ["<MASK>", "down", "<PAD>"]]
@@ -187,7 +198,7 @@ class TestParseSettings:
         first, second = tmp_path / "a.nulog", tmp_path / "b.nulog"
         save_model(changed, first)
         loaded = load_model(first)
-        assert loaded.config == changed.config
+        assert loaded.config == dataclasses.replace(changed.config, min_count=None)
         save_model(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 
