@@ -106,7 +106,7 @@ def constant_masks(model: Model, seqs: list[TokenSequence],
     starts = range(0, len(inputs), size)
     bounds = np.searchsorted(other_rows, [*starts, len(inputs)])
 
-    def score_chunk(start: int, lo: int, hi: int, lane: int) -> None:
+    def score_chunk(start: int, lo: int, hi: int) -> None:
         """Score inputs[start:start + size] in one forward pass; rank their
         heads on its rows in place and others[lo:hi] on gathered rows, size
         at a time, so a popular input never gathers more than a chunk has."""

@@ -270,16 +270,8 @@ def train_epoch(model: Model, opt: OptimizerState, ids: np.ndarray,
         batch = ids[start:start + size]
         loss = numerics.cross_entropy(model.forward_logits(batch),
                                       targets[start:start + size])
-        try:
-            # each parameter's Adam update starts once its gradient is final
-            loss.backward(on_final=opt.start_update)
-            numerics.optimizer_step(model.params, opt)
-        except BaseException:
-            # drop the interrupted step: its queued updates and its gradients
-            opt.cancel_step()
-            for t in model.params.values():
-                t.grad = None
-            raise
+        loss.backward()
+        numerics.optimizer_step(model.params, opt)
         total += float(loss.data) * len(batch)
     return total / len(ids)
 

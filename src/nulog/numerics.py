@@ -24,28 +24,21 @@ contribution in place. Each grad is thus an array no other tensor holds,
 and a fresh contribution costs no extra pass over memory.
 
 Adam (OptimizerState, optimizer_step) takes the trainable tensors as a
-plain dict from name to Tensor and visits them in the dict's order.
+plain dict from name to Tensor and lays them out in the dict's order, one
+after another, in flat buffers: the two moments and one scratch buffer.
+A step gathers every gradient into one more flat buffer, runs each of
+Adam's ufuncs once over all of them, and then subtracts from each weight
+its run of the step: a dozen numpy calls, plus one per parameter. Every
+element goes through the same 13 ufuncs in the same order as in an update
+of its parameter alone, so the weights are bitwise equal to it.
 
-Two threads share the work: the calling thread and one worker thread,
-started the first time work is queued and only when the process may run
-on more than one CPU. A task is a callable that takes its lane, 0 on the
-calling thread and 1 on the worker, and writes nothing another queued
-task reads or writes. run_tasks queues a list of tasks, runs them on both
-threads and re-raises the first error a task raised; on one CPU the
-calling thread runs them all. Grad mode (no_grad) is per thread.
-
-Who runs Adam, and when: Adam is elementwise, so a parameter can be updated
-as soon as its gradient is final. backward(on_final=state.start_update)
-calls the hook for each tracked leaf once the vjp of its last consumer has
-run; every reader of the leaf's data, views of it included, is a
-descendant of that consumer and has run before it. start_update queues the
-update as two tasks, one per half of the flat parameter, which the worker
-takes while the training thread finishes backward. optimizer_step queues
-every parameter not yet queued and finishes the tasks as run_tasks does.
-Each lane writes its temporaries into its own half of the scratch
-buffers, and every element goes through the same 13 ufuncs in the same
-order as in a serial update, so weights and moments are bitwise equal to
-it.
+The worker: run_tasks queues a list of tasks and runs them on the calling
+thread and one worker thread, started the first time work is queued and
+only when the process may run on more than one CPU; on one CPU the
+calling thread runs them all. A task is a callable without arguments
+that writes nothing another queued task reads or writes. run_tasks
+re-raises the first error a task raised. Grad mode (no_grad) is per
+thread.
 """
 from __future__ import annotations
 
@@ -53,8 +46,6 @@ import math
 import os
 import queue
 import threading
-from collections import Counter
-from functools import partial
 
 import numpy as np
 
@@ -119,15 +110,8 @@ class Tensor:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype}{tag})"
 
-    def backward(self, on_final=None) -> None:
-        """Populate grads of every tracked tensor this scalar depends on.
-
-        on_final(leaf), when given, is called once for each tracked leaf
-        (requires_grad, no vjp) that received a gradient, as soon as the
-        vjp of its last consumer has run: its grad and every read of its
-        data are then complete, so the leaf may be updated in place while
-        the rest of backward runs.
-        """
+    def backward(self) -> None:
+        """Populate grads of every tracked tensor this scalar depends on."""
         if self.data.ndim != 0:
             raise ShapeError(f"backward requires a scalar loss, got shape {self.data.shape}")
         if self._vjp is None and not self._parents:
@@ -147,32 +131,23 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in seen:
                     stack.append((parent, False))
-        if on_final is not None:
-            # consumers still to run per tensor, counted per use
-            pending = Counter(id(p) for node in order for p in node._parents)
         self.grad = np.ones((), dtype=self.data.dtype)
         for node in reversed(order):
-            if node._vjp is not None and node.grad is not None:
-                for parent, contribution in zip(node._parents, node._vjp(node.grad)):
-                    if contribution is None:
-                        continue
-                    if parent.grad is not None:
-                        parent.grad += contribution
-                    elif (contribution.shape != parent.data.shape
-                          or contribution.dtype != parent.data.dtype):
-                        parent.grad = np.zeros_like(parent.data)
-                        parent.grad += contribution
-                    elif contribution.base is None and contribution is not node.grad:
-                        parent.grad = contribution
-                    else:
-                        parent.grad = contribution.copy()
-            if on_final is None:
+            if node._vjp is None or node.grad is None:
                 continue
-            for parent in node._parents:
-                pending[id(parent)] -= 1
-                if (pending[id(parent)] == 0 and parent.requires_grad
-                        and parent._vjp is None and parent.grad is not None):
-                    on_final(parent)
+            for parent, contribution in zip(node._parents, node._vjp(node.grad)):
+                if contribution is None:
+                    continue
+                if parent.grad is not None:
+                    parent.grad += contribution
+                elif (contribution.shape != parent.data.shape
+                      or contribution.dtype != parent.data.dtype):
+                    parent.grad = np.zeros_like(parent.data)
+                    parent.grad += contribution
+                elif contribution.base is None and contribution is not node.grad:
+                    parent.grad = contribution
+                else:
+                    parent.grad = contribution.copy()
 
 
 def _tracked(*tensors: Tensor) -> bool:
@@ -416,7 +391,9 @@ def sum_all(a: Tensor) -> Tensor:
 class OptimizerState:
     """Adam moment accumulators plus the step counter and hyperparameters.
 
-    One thread trains with a state: it runs backward() and optimizer_step.
+    m, v, the gathered gradients and one scratch buffer are flat arrays of
+    the parameters' one dtype, each parameter's elements in one run, in the
+    dict's order.
     """
 
     beta1 = 0.9
@@ -424,84 +401,62 @@ class OptimizerState:
     eps = 1e-8
 
     def __init__(self, params: dict[str, Tensor], learning_rate: float = 1e-3):
+        dtypes = {t.data.dtype for t in params.values()}
+        if len(dtypes) != 1:
+            raise ValidationError(f"Adam needs parameters of one dtype, got "
+                                  f"{sorted(map(str, dtypes))}")
+        (dtype,) = dtypes
+        size = sum(t.data.size for t in params.values())
         self.learning_rate = learning_rate
         self.step = 0
-        self.m = {name: np.zeros_like(t.data) for name, t in params.items()}
-        self.v = {name: np.zeros_like(t.data) for name, t in params.items()}
-        # two flat work buffers per dtype, each two halves as long as half
-        # the largest parameter: a task updates at most half a parameter,
-        # and each thread writes its temporaries into its own half
-        sizes: dict[np.dtype, int] = {}
+        self.m, self.v, self.grads, self.scratch = (np.zeros(size, dtype) for _ in range(4))
+        # each parameter's run of the scratch buffer, in its shape: the step
+        # the parameter subtracts
+        ends = np.cumsum([t.data.size for t in params.values()], dtype=np.int64)
+        self.steps = {name: self.scratch[end - t.data.size:end].reshape(t.data.shape)
+                      for (name, t), end in zip(params.items(), ends)}
+
+
+def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> None:
+    """One Adam update with bias correction; consumes the gradients.
+
+    Gradients are reset to None afterwards, whether the step ran or raised,
+    so a second step without an intervening backward() raises
+    StaleGradientError instead of silently reapplying old gradients. A
+    missing gradient, or one of another shape than its parameter, raises
+    before any weight or moment moves.
+    """
+    try:
+        for name, t in params.items():
+            if t.grad is None:
+                raise StaleGradientError(f"no gradient for {name!r}; run backward() first")
+            if t.grad.shape != t.data.shape:
+                raise ShapeError(f"gradient of shape {t.grad.shape} for {name!r} "
+                                 f"of shape {t.data.shape}")
+        g = np.concatenate([t.grad for t in params.values()], axis=None, out=state.grads)
+    finally:
         for t in params.values():
-            sizes[t.data.dtype] = max(sizes.get(t.data.dtype, 0), (t.data.size + 1) // 2)
-        self.scratch = {dtype: (np.empty(2 * n, dtype), np.empty(2 * n, dtype))
-                        for dtype, n in sizes.items()}
-        self._names = {id(t): name for name, t in params.items()}
-        # the open step: parameters queued so far and its bias corrections
-        self._queued: dict[str, Tensor] = {}
-        self._bias_correction = (1.0, 1.0)
-
-    def start_update(self, t: Tensor) -> None:
-        """Queue the Adam update of parameter t, whose gradient is final;
-        the on_final hook of Tensor.backward. Other tensors are ignored."""
-        name = self._names.get(id(t))
-        if name is not None and name not in self._queued:
-            self._queue(name, t)
-
-    def cancel_step(self) -> None:
-        """Drop the open step's queued updates that no thread has started,
-        and forget what it queued; for a backward pass or step that raised."""
-        _worker.cancel()
-        self._queued = {}
-
-    def _queue(self, name: str, t: Tensor) -> None:
-        if not self._queued:
-            self.step += 1
-            self._bias_correction = (1.0 - self.beta1 ** self.step,
-                                     1.0 - self.beta2 ** self.step)
-            _worker.start()
-        self._queued[name] = t
-        half = (t.data.size + 1) // 2
-        _worker.put(partial(_adam, self, name, t, 0, half))
-        _worker.put(partial(_adam, self, name, t, half, t.data.size))
-
-
-def _adam(state: OptimizerState, name: str, t: Tensor, lo: int, hi: int,
-          lane: int) -> None:
-    """Adam on elements lo:hi of the flat parameter, with temporaries in
-    half lane of the scratch buffers."""
-    if t.grad.shape != t.data.shape:
-        raise ShapeError(f"gradient of shape {t.grad.shape} for {name!r} "
-                         f"of shape {t.data.shape}")
-    if not t.data.flags.c_contiguous:
-        raise ValidationError(f"parameter {name!r} is not C-contiguous")
-    g = t.grad.reshape(-1)[lo:hi]
-    m = state.m[name].reshape(-1)[lo:hi]
-    v = state.v[name].reshape(-1)[lo:hi]
-    w = t.data.reshape(-1)[lo:hi]
-    buf1, buf2 = state.scratch[t.data.dtype]
-    start = lane * (buf1.size // 2)
-    s1, s2 = buf1[start:start + hi - lo], buf2[start:start + hi - lo]
-    bc1, bc2 = state._bias_correction
+            t.grad = None
+    state.step += 1
+    bc1 = 1.0 - state.beta1 ** state.step
+    bc2 = 1.0 - state.beta2 ** state.step
+    m, v, s = state.m, state.v, state.scratch
     # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g^2
-    np.multiply(g, 1.0 - state.beta1, out=s1)
+    np.multiply(g, 1.0 - state.beta1, out=s)
     m *= state.beta1
-    m += s1
-    np.square(g, out=s1)
-    s1 *= 1.0 - state.beta2
+    m += s
+    np.square(g, out=g)
+    g *= 1.0 - state.beta2
     v *= state.beta2
-    v += s1
-    # w -= (lr / bc1) m / (sqrt(v / bc2) + eps)
-    np.divide(v, bc2, out=s1)
-    np.sqrt(s1, out=s1)
-    s1 += state.eps
-    np.multiply(m, state.learning_rate / bc1, out=s2)
-    s2 /= s1
-    w -= s2
-
-
-def _run_task(task, lane: int) -> None:
-    task(lane)
+    v += g
+    # w -= (lr / bc1) m / (sqrt(v / bc2) + eps), g holding the denominator
+    np.divide(v, bc2, out=g)
+    np.sqrt(g, out=g)
+    g += state.eps
+    np.multiply(m, state.learning_rate / bc1, out=s)
+    s /= g
+    for name, t in params.items():
+        t.data -= state.steps[name]
 
 
 class _Worker:
@@ -546,7 +501,7 @@ class _Worker:
             task = self._tasks.get()
             if task is not self._BARRIER:
                 try:
-                    _run_task(task, 1)
+                    task()
                 except BaseException as exc:  # handed to finish(); the thread lives on
                     self._errors.append(exc)
             self._done.put(task is self._BARRIER)
@@ -568,7 +523,7 @@ class _Worker:
                     break
                 self._pending -= 1
                 try:
-                    _run_task(task, 0)
+                    task()
                 except Exception as exc:
                     self._errors.append(exc)
             while self._pending:
@@ -602,7 +557,7 @@ _worker = _Worker()
 
 
 def run_tasks(tasks) -> None:
-    """Run every task(lane) on the calling thread and the worker; return
+    """Run every task() on the calling thread and the worker; return
     once all are done, and raise the first error a task raised."""
     _worker.start()
     try:
@@ -614,32 +569,3 @@ def run_tasks(tasks) -> None:
     errors = _worker.finish()
     if errors:
         raise errors[0]
-
-
-def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> None:
-    """One Adam update with bias correction; consumes the gradients.
-
-    Parameters that backward(on_final=state.start_update) queued are under
-    way already; every other one is queued here. Returns once every queued
-    update is done, and raises the first error an update raised. Gradients
-    are reset to None afterwards, so a second step without an intervening
-    backward() raises StaleGradientError instead of silently reapplying old
-    gradients. A parameter with no gradient raises it before anything more
-    is queued; parameters queued during backward() have moved by then.
-    """
-    stale = [name for name, t in params.items()
-             if name not in state._queued and t.grad is None]
-    if not stale:
-        for name, t in params.items():
-            if name not in state._queued:
-                state._queue(name, t)
-    try:
-        errors = _worker.finish()
-    finally:
-        done, state._queued = state._queued, {}
-    for t in done.values():
-        t.grad = None
-    if errors:
-        raise errors[0]
-    if stale:
-        raise StaleGradientError(f"no gradient for {stale[0]!r}; run backward() first")

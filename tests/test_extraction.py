@@ -336,18 +336,25 @@ class TestChunksOnBothThreads:
                                                         switch_interval):
         seqs, model = self.corpus_and_model()
         set_chunk_rows(monkeypatch, model, 7)
-        ran_on = []
-        run_task = numerics._run_task
-        monkeypatch.setattr(numerics, "_run_task", lambda task, lane: (
-            ran_on.append(threading.current_thread().name), run_task(task, lane)))
+        ran_on = []  # the thread of each chunk
 
-        def masks_and_rows():
-            # every probability row the model gave, keyed by its masked input
+        def masks_and_rows(hold: bool):
+            # every probability row the model gave, keyed by its masked input;
+            # with hold, the calling thread's first chunk waits until the
+            # worker has scored one, so the worker always gets a chunk
             rows = {}
+            worker_scored, held = threading.Event(), []
 
             def record(ids):
+                ran_on.append(threading.current_thread().name)
+                on_worker = ran_on[-1] == "nulog-worker"
+                if hold and not on_worker and not held:
+                    held.append(True)
+                    worker_scored.wait(timeout=30)
                 probabilities = model.predict_masked_batch(ids)
                 rows.update((i.tobytes(), p.tobytes()) for i, p in zip(ids, probabilities))
+                if on_worker:
+                    worker_scored.set()
                 return probabilities
 
             recorder = ScoringStub(record, like=model)
@@ -359,7 +366,7 @@ class TestChunksOnBothThreads:
         if switch_interval is not None:
             sys.setswitchinterval(switch_interval)  # hand over the interpreter often
         try:
-            both, rows_both = masks_and_rows()
+            both, rows_both = masks_and_rows(hold=two_cpus())
         finally:
             sys.setswitchinterval(interval)
         assert len(rows_both) > 10 * 7
@@ -371,7 +378,7 @@ class TestChunksOnBothThreads:
         monkeypatch.setattr(numerics, "_worker", one_cpu)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         ran_on.clear()
-        alone, rows_alone = masks_and_rows()
+        alone, rows_alone = masks_and_rows(hold=False)
         assert one_cpu._thread is None
         assert set(ran_on) == {threading.current_thread().name}
         assert rows_both == rows_alone

@@ -1,15 +1,13 @@
 """Encoder construction, forward semantics, and the training loop."""
 import hashlib
 import math
-import os
-import sys
-import threading
 
 import numpy as np
 import pytest
 
 import synth
 from gradcheck import finite_difference_check
+from reference import ReferenceAdam
 from nulog import masking, numerics
 from nulog import model as model_module
 from nulog.errors import ConfigError, ShapeError, ValidationError
@@ -500,94 +498,36 @@ class TestTrain:
             Model(ModelConfig(vocab_size=10))
 
 
-class TestOverlappedAdam:
-    """train_epoch starts each parameter's Adam update during backward();
-    the result must equal backward() followed by optimizer_step, bit for
-    bit. With two blocks, rearrange(wv) is a view of wv.data that a later
-    vjp reads, so a parameter updated before every reader has run would
-    change the gradients of the parameters after it."""
-
+class TestFlatAdam:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_three_epochs_equal_the_serial_steps_bitwise(self, dtype, monkeypatch):
+    def test_three_epochs_equal_per_tensor_adam_bitwise(self, dtype, monkeypatch):
         config = ModelConfig(vocab_size=300, frame_length=8, d=64, heads=4,
                              ffn_hidden=128, blocks=2, batch_size=16, seed=7)
         rng = np.random.default_rng(4)
         ids = rng.integers(0, config.vocab_size, size=(48, config.frame_length))
         ids[:, 0] = CLS_ID
         targets = rng.integers(0, config.vocab_size, size=48)
-        ran_on = []
-        run_task = numerics._run_task
-        monkeypatch.setattr(numerics, "_run_task", lambda task, lane: (
-            ran_on.append(threading.current_thread().name), run_task(task, lane)))
+        flat = Model(config, rng=np.random.default_rng(0), dtype=dtype)
+        opt = OptimizerState(flat.params)
+        flat_losses = [train_epoch(flat, opt, ids, targets) for _ in range(3)]
 
-        def serial_epoch(model, opt):
-            size = config.batch_size
-            total = 0.0
-            for start in range(0, len(ids), size):
-                loss = cross_entropy(model.forward_logits(ids[start:start + size]),
-                                     targets[start:start + size])
-                loss.backward()
-                numerics.optimizer_step(model.params, opt)
-                total += float(loss.data) * len(ids[start:start + size])
-            return total / len(ids)
+        per_tensor = Model(config, rng=np.random.default_rng(0), dtype=dtype)
+        reference = ReferenceAdam(per_tensor.params)
 
-        results = []
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)  # hand the interpreter between threads often
-        try:
-            for epoch_fn in (lambda m, o: train_epoch(m, o, ids, targets), serial_epoch):
-                model = Model(config, rng=np.random.default_rng(0), dtype=dtype)
-                opt = OptimizerState(model.params)
-                losses = [epoch_fn(model, opt) for _ in range(3)]
-                results.append((model, opt, losses))
-        finally:
-            sys.setswitchinterval(interval)
-        (overlapped, opt_o, losses_o), (serial, opt_s, losses_s) = results
-        assert losses_o == losses_s
-        assert opt_o.step == opt_s.step == 9
-        for name, t in overlapped.params.items():
-            assert t.data.dtype == dtype
-            assert np.array_equal(t.data, serial.params[name].data), name
-            assert np.array_equal(opt_o.m[name], opt_s.m[name]), name
-            assert np.array_equal(opt_o.v[name], opt_s.v[name]), name
-            assert t.grad is None
-        if len(os.sched_getaffinity(0)) > 1:
-            assert "nulog-worker" in ran_on
+        def reference_step(params, state):
+            reference.step({n: t.data for n, t in params.items()},
+                           {n: t.grad for n, t in params.items()})
+            for t in params.values():
+                t.grad = None
 
-
-    def test_an_interrupted_step_leaves_nothing_queued(self):
-        config = tiny_config()
-        model = Model(config, rng=np.random.default_rng(0))
-        opt = OptimizerState(model.params)
-        rng = np.random.default_rng(1)
-        ids = rng.integers(0, config.vocab_size, size=(4, config.frame_length))
-        ids[:, 0] = CLS_ID
-        targets = rng.integers(0, config.vocab_size, size=4)
-        start_update, finals = opt.start_update, []
-
-        def interrupt_the_second(t):
-            finals.append(t)
-            if len(finals) == 2:
-                raise KeyboardInterrupt
-            start_update(t)
-
-        opt.start_update = interrupt_the_second
-        with pytest.raises(KeyboardInterrupt):
-            train_epoch(model, opt, ids, targets)
-        assert numerics._worker._pending == 0
-        assert opt._queued == {}
-        assert all(t.grad is None for t in model.params.values())
-        before = {name: t.data.copy() for name, t in model.params.items()}
-        numerics.run_tasks([lambda lane: None])
-        for name, t in model.params.items():
-            assert np.array_equal(t.data, before[name]), name
-        del opt.start_update
-        queued, queue = [], opt._queue
-        opt._queue = lambda name, t: (queued.append(name), queue(name, t))
-        cross_entropy(model.forward_logits(ids), targets).backward()
-        numerics.optimizer_step(model.params, opt)
-        assert queued == list(model.params)
-        assert opt._queued == {}
+        monkeypatch.setattr(numerics, "optimizer_step", reference_step)
+        losses = [train_epoch(per_tensor, OptimizerState(per_tensor.params), ids, targets)
+                  for _ in range(3)]
+        assert flat_losses == losses
+        assert opt.step == reference.t == 9
+        for name, t in flat.params.items():
+            assert t.data.dtype == dtype and t.grad is None
+            assert np.array_equal(t.data, per_tensor.params[name].data), name
 
 
 class TestFullModelGradient:

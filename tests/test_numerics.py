@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gradcheck import finite_difference_check
+from reference import ReferenceAdam
 from nulog import numerics
 from nulog.errors import ShapeError, StaleGradientError, ValidationError
 from nulog.model import Model, ModelConfig, train_epoch
@@ -250,34 +251,9 @@ class TestGradModePerThread:
         assert np.array_equal(a.grad, np.full((2, 2), 4.0))
 
 
-class TestOnFinal:
-    def test_fires_once_per_tracked_leaf_with_its_final_gradient(self):
-        rng = np.random.default_rng(6)
-        x, w1, w2, b = (Tensor(rng.normal(size=shape), requires_grad=True)
-                        for shape in ((2, 3, 4), (4, 5), (5, 4), (1, 4)))
-        constant = Tensor(rng.normal(size=(2, 3, 4)))
-        # x feeds two products and a residual; w1 also enters through a
-        # transpose, whose result is a view of w1.data
-        h = relu(add(matmul(x, w1), matmul(add(x, constant), w1)))
-        out = add(add(matmul(h, w2), matmul(x, matmul(w1, transpose(w1)))), b)
-        seen = []
-        sum_all(out).backward(on_final=lambda t: seen.append((t, t.grad.copy())))
-        assert sorted(map(id, (t for t, _ in seen))) == sorted(map(id, (x, w1, w2, b)))
-        for t, grad in seen:
-            assert np.array_equal(grad, t.grad)
-
-    def test_a_leaf_without_requires_grad_is_not_reported(self):
-        a = Tensor(np.ones((2, 2)))
-        w = Tensor(np.ones((2, 2)), requires_grad=True)
-        seen = []
-        sum_all(matmul(a, w)).backward(on_final=seen.append)
-        assert seen == [w]
-
-
-def zero_then_add_backward(loss: Tensor, on_final=None) -> None:
+def zero_then_add_backward(loss: Tensor) -> None:
     """backward() as it was before gradient adoption: every first
-    contribution lands in a fresh zero array. on_final sees every tracked
-    leaf only after the whole pass, so Adam runs strictly after backward."""
+    contribution lands in a fresh zero array."""
     order, seen, stack = [], set(), [(loss, False)]
     while stack:
         node, expanded = stack.pop()
@@ -299,10 +275,6 @@ def zero_then_add_backward(loss: Tensor, on_final=None) -> None:
             if parent.grad is None:
                 parent.grad = np.zeros_like(parent.data)
             parent.grad += contribution
-    if on_final is not None:
-        for node in order:
-            if node.requires_grad and node._vjp is None and node.grad is not None:
-                on_final(node)
 
 
 def assert_grads_disjoint(tensors) -> None:
@@ -609,16 +581,17 @@ class TestOptimizer:
         state = OptimizerState(params)
         params["w"].grad = np.ones((30, 40))
         params["b"].grad = np.ones((1, 30))
-        # queued as backward() would, so the worker may take it at once
-        state.start_update(params["w"])
         with pytest.raises(ShapeError, match="'w'"):
             optimizer_step(params, state)
         assert params["w"].grad is None and params["b"].grad is None
-        assert np.all(params["w"].data == 1.0)
+        assert state.step == 0
+        for t in params.values():
+            assert np.all(t.data == 1.0)
+        assert not state.m.any() and not state.v.any()
         for t in params.values():
             t.grad = np.ones_like(t.data)
         optimizer_step(params, state)
-        assert state.step == 2
+        assert state.step == 1
         for t in params.values():
             assert np.all(t.data < 1.0)
 
@@ -626,15 +599,19 @@ class TestOptimizer:
         params = param_set(w=np.ones((3, 4)), unused=np.ones((1, 4)))
         state = OptimizerState(params)
         x = Tensor(np.ones((2, 3)))
-        sum_all(matmul(x, params["w"])).backward(on_final=state.start_update)
+        sum_all(matmul(x, params["w"])).backward()
         with pytest.raises(StaleGradientError, match="'unused'"):
             optimizer_step(params, state)
-        # w was queued during backward(), so it has moved by the time the
-        # missing gradient shows
-        assert state.step == 1
-        assert np.all(params["w"].data < 1.0)
+        assert state.step == 0
+        assert np.all(params["w"].data == 1.0)
         assert np.all(params["unused"].data == 1.0)
         assert params["w"].grad is None
+
+    def test_parameters_of_two_dtypes_rejected(self):
+        params = {"a": Tensor(np.ones((2, 2), np.float32), requires_grad=True),
+                  "b": Tensor(np.ones((1, 2), np.float64), requires_grad=True)}
+        with pytest.raises(ValidationError, match="one dtype"):
+            OptimizerState(params)
 
     def test_quadratic_bowl_converges(self):
         params = param_set(theta=np.array([[3.0]]))
@@ -652,31 +629,42 @@ class TestOptimizer:
         assert history[-1] < 0.01
 
     def test_in_place_update_matches_the_out_of_place_formula_bitwise(self):
-        rng = np.random.default_rng(5)
-        params = {name: Tensor(rng.normal(size=shape).astype(np.float32),
-                               requires_grad=True, name=name)
-                  for name, shape in (("w", (40, 24)), ("b", (1, 24)))}
-        state = OptimizerState(params, learning_rate=1e-2)
-        b1, b2, lr, eps = state.beta1, state.beta2, state.learning_rate, state.eps
-        ref = {n: t.data.copy() for n, t in params.items()}
-        m = {n: np.zeros_like(w) for n, w in ref.items()}
-        v = {n: np.zeros_like(w) for n, w in ref.items()}
-        for step in range(1, 6):
-            grads = {n: rng.normal(size=w.shape).astype(np.float32)
-                     for n, w in ref.items()}
+        # the flat update against Adam written out per tensor, out of place
+        shapes = (("emb", (30, 16)), ("w", (16, 16)), ("gain", (1, 16)),
+                  ("w1", (16, 32)), ("b1", (1, 32)), ("head", (16, 30)))
+        for dtype in (np.float32, np.float64):
+            rng = np.random.default_rng(5)
+            params = {name: Tensor(rng.normal(size=shape).astype(dtype),
+                                   requires_grad=True, name=name)
+                      for name, shape in shapes}
+            state = OptimizerState(params, learning_rate=1e-2)
+            reference = ReferenceAdam(params, learning_rate=1e-2)
+            weights = {n: t.data.copy() for n, t in params.items()}
+            for _ in range(6):
+                grads = {n: rng.normal(size=w.shape).astype(dtype)
+                         for n, w in weights.items()}
+                for name, t in params.items():
+                    t.grad = grads[name].copy()
+                optimizer_step(params, state)
+                reference.step(weights, grads)
+            assert state.step == reference.t == 6
             for name, t in params.items():
-                t.grad = grads[name].copy()
-            optimizer_step(params, state)
-            bc1, bc2 = 1.0 - b1 ** step, 1.0 - b2 ** step
-            for name, g in grads.items():
-                m[name] = m[name] * b1 + (1.0 - b1) * g
-                v[name] = v[name] * b2 + (1.0 - b2) * np.square(g)
-                ref[name] = ref[name] - (lr / bc1) * m[name] / (np.sqrt(v[name] / bc2) + eps)
-        for name, t in params.items():
-            assert t.data.dtype == np.float32
-            assert np.array_equal(t.data, ref[name])
-            assert np.array_equal(state.m[name], m[name])
-            assert np.array_equal(state.v[name], v[name])
+                assert t.data.dtype == dtype and t.grad is None
+                assert np.array_equal(t.data, weights[name]), (dtype, name)
+            for flat, per_tensor in ((state.m, reference.m), (state.v, reference.v)):
+                assert flat.dtype == dtype
+                assert np.array_equal(flat, np.concatenate(
+                    [a.reshape(-1) for a in per_tensor.values()]))
+
+    def test_moments_lie_flat_in_parameter_order(self):
+        params = param_set(b=np.zeros((1, 3)), a=np.zeros((2, 2)))
+        state = OptimizerState(params)
+        assert state.m.shape == state.v.shape == (7,)
+        params["b"].grad = np.full((1, 3), 2.0)
+        params["a"].grad = np.full((2, 2), -1.0)
+        optimizer_step(params, state)
+        assert np.allclose(state.m, [0.2] * 3 + [-0.1] * 4)
+        assert np.allclose(state.v, [4e-3] * 3 + [1e-3] * 4)
 
     def test_defaults_match_contract(self):
         state = OptimizerState(param_set(w=np.zeros((1, 1))))
@@ -688,6 +676,10 @@ def two_cpus():
     return len(os.sched_getaffinity(0)) > 1
 
 
+def on_worker():
+    return threading.current_thread().name == "nulog-worker"
+
+
 def nothing_left(worker):
     return worker._pending == 0 and worker._tasks.empty() and worker._done.empty()
 
@@ -696,13 +688,13 @@ class TestRunTasks:
     def test_every_task_runs_once_and_the_first_error_surfaces(self):
         ran = []
 
-        def task(i, lane):
+        def task(i):
             ran.append(i)
             if i in (3, 5):
                 raise ShapeError(f"task {i}")
 
         with pytest.raises(ShapeError, match=r"task [35]"):
-            numerics.run_tasks(lambda lane, i=i: task(i, lane) for i in range(40))
+            numerics.run_tasks(lambda i=i: task(i) for i in range(40))
         assert sorted(ran) == list(range(40))
         assert nothing_left(numerics._worker)
 
@@ -711,8 +703,8 @@ class TestRunTasks:
         monkeypatch.setattr(numerics, "_worker", worker)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         ran = []
-        numerics.run_tasks(lambda lane, i=i: ran.append((i, lane)) for i in range(5))
-        assert ran == [(i, 0) for i in range(5)]
+        numerics.run_tasks(lambda i=i: ran.append((i, on_worker())) for i in range(5))
+        assert ran == [(i, False) for i in range(5)]
         assert worker._thread is None
 
     @pytest.mark.skipif(not two_cpus(), reason="needs a second CPU for the worker")
@@ -722,8 +714,8 @@ class TestRunTasks:
 
         taken = threading.Event()
 
-        def task(lane):
-            if lane == 1:
+        def task():
+            if on_worker():
                 taken.set()
                 raise Stop()
             taken.wait(timeout=30)  # leave the other task to the worker
@@ -736,7 +728,7 @@ class TestRunTasks:
             except Stop:
                 outcome.append("stopped")
             ran = []
-            numerics.run_tasks(lambda lane, i=i: ran.append(i) for i in range(20))
+            numerics.run_tasks(lambda i=i: ran.append(i) for i in range(20))
             outcome.append(sorted(ran))
 
         # on a thread of its own, so a dead worker fails the test instead of
@@ -758,14 +750,14 @@ class TestRunTasks:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         ran = []
 
-        def interrupt(lane):
+        def interrupt():
             raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
-            numerics.run_tasks([interrupt] + [lambda lane: ran.append(1)] * 11)
+            numerics.run_tasks([interrupt] + [lambda: ran.append(1)] * 11)
         assert ran == []
         assert nothing_left(worker)
-        numerics.run_tasks([lambda lane: ran.append(2)])
+        numerics.run_tasks([lambda: ran.append(2)])
         assert ran == [2]
 
     @pytest.mark.skipif(not two_cpus(), reason="needs a second CPU for the worker")
@@ -773,8 +765,9 @@ class TestRunTasks:
         running, ran = [], []
         interrupted = []
 
-        def task(lane):
-            if lane == 0:
+        def task():
+            lane = on_worker()
+            if not lane:
                 time.sleep(0.01)
                 ran.append(lane)
                 return
@@ -793,25 +786,5 @@ class TestRunTasks:
         assert len(ran) < 50
         assert nothing_left(numerics._worker)
         ran.clear()
-        numerics.run_tasks(lambda lane, i=i: ran.append(i) for i in range(10))
+        numerics.run_tasks(lambda i=i: ran.append(i) for i in range(10))
         assert sorted(ran) == list(range(10))
-
-    def test_an_interrupted_adam_step_leaves_nothing_for_the_next_one(self, monkeypatch):
-        params = param_set(**{f"w{i}": np.ones((4, 3)) for i in range(6)})
-        state = OptimizerState(params)
-        for t in params.values():
-            t.grad = np.ones_like(t.data)
-        adam = numerics._adam
-
-        def interrupted_once(*args):
-            monkeypatch.setattr(numerics, "_adam", adam)
-            raise KeyboardInterrupt
-
-        monkeypatch.setattr(numerics, "_adam", interrupted_once)
-        with pytest.raises(KeyboardInterrupt):
-            optimizer_step(params, state)
-        assert nothing_left(numerics._worker)
-        for t in params.values():
-            t.grad = np.ones_like(t.data)
-        optimizer_step(params, state)
-        assert nothing_left(numerics._worker)
