@@ -47,13 +47,13 @@ class ModelConfig:
 
     vocab_size: int | None = None
     frame_length: int | None = None
-    d: int = 256
+    d: int = 64
     heads: int = 4
-    ffn_hidden: int = 512
+    ffn_hidden: int = 128
     blocks: int = 1
     epochs: int = 5
     batch_size: int = 32
-    learning_rate: float = 1e-3
+    learning_rate: float = 2e-3
     seed: int = 7
     tokenization_filter: str = WHITESPACE_FILTER
     epsilon: int = 50

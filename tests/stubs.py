@@ -9,7 +9,7 @@ class ScoringStub:
     probability row or a function from an (N, T) id array to (N, V)
     probabilities, and records the ids of every predict_masked_batch call.
 
-    chunk_rows reads the dims of like, a model; by default they give 1,920
+    chunk_rows reads the dims of like, a model; by default they give 7,680
     inputs per forward pass.
     """
 

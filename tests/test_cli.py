@@ -89,6 +89,17 @@ class TestTrain:
         assert manifest["config"]["vocab_size"] > 4
         assert manifest["elapsed_seconds"] >= 0
 
+    def test_default_dims_reach_the_archive_and_manifest(self, workspace, tmp_path):
+        model = tmp_path / "defaults.nulog"
+        assert main(["train", "--data", str(workspace["data"]), "--config",
+                     str(workspace["config"]), "--out-model", str(model)]) == 0
+        config = load_model(model).config
+        defaults = ModelConfig()
+        assert (config.d, config.heads, config.ffn_hidden, config.blocks) == \
+            (defaults.d, defaults.heads, defaults.ffn_hidden, defaults.blocks) == (64, 4, 128, 1)
+        recorded = json.loads(Path(f"{model}.manifest.json").read_text())["config"]
+        assert (recorded["d"], recorded["ffn_hidden"]) == (64, 128)
+
     def test_manifest_records_loss_per_epoch(self, workspace):
         manifest = json.loads(
             Path(f"{workspace['model']}.manifest.json").read_text())

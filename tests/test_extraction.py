@@ -299,8 +299,9 @@ class TestChunkRows:
     def test_a_longer_frame_gets_fewer_rows(self):
         short = Model(ModelConfig(vocab_size=100, frame_length=10))
         long = Model(ModelConfig(vocab_size=100, frame_length=47))
-        assert chunk_rows(short) == extraction.CHUNK_ELEMS // (10 * 256)
-        assert chunk_rows(long) == extraction.CHUNK_ELEMS // (47 * 256)
+        d = short.config.d
+        assert chunk_rows(short) == extraction.CHUNK_ELEMS // (10 * d)
+        assert chunk_rows(long) == extraction.CHUNK_ELEMS // (47 * d)
         assert chunk_rows(long) < chunk_rows(short)
 
     def test_a_wide_head_gets_fewer_rows_and_never_none(self):

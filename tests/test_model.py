@@ -75,8 +75,9 @@ class TestModelConfig:
     def test_defaults(self):
         config = ModelConfig(vocab_size=10, frame_length=5)
         assert (config.d, config.heads, config.ffn_hidden, config.blocks) == \
-            (256, 4, 512, 1)
+            (64, 4, 128, 1)
         assert (config.epochs, config.batch_size, config.seed) == (5, 32, 7)
+        assert config.learning_rate == 2e-3
         assert (config.tokenization_filter, config.epsilon) == (WHITESPACE_FILTER, 50)
         assert config.min_count == 2
 

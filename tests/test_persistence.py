@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from nulog.errors import ArchiveError, ValidationError
+from nulog.extraction import parse_corpus
 from nulog.masking import enumerate_masks
 from nulog.model import Model, ModelConfig, train
 from nulog.persistence import MAGIC, VERSION, _Reader, load_model, save_model
@@ -114,6 +115,20 @@ class TestRoundTrip:
         inputs = enumerate_masks(seqs[:1]).inputs
         assert np.array_equal(model.predict_masked_batch(inputs),
                               loaded.predict_masked_batch(inputs))
+
+    def test_an_archive_of_the_old_default_dims_parses_as_before(self, tmp_path):
+        # d 256 and FFN 512 were the defaults; the archive holds its own dims
+        model = train(TOKEN_LISTS, ModelConfig(d=256, heads=4, ffn_hidden=512, epochs=1,
+                                               batch_size=4, learning_rate=1e-3))
+        path = tmp_path / "wide.nulog"
+        save_model(model, path)
+        loaded = load_model(path)
+        assert (loaded.config.d, loaded.config.ffn_hidden) == (256, 512)
+        seqs = [frame(toks, model.config.frame_length, model.vocab, message_index=i)
+                for i, toks in enumerate(TOKEN_LISTS)]
+        before = parse_corpus(model, seqs, model.config.epsilon)
+        after = parse_corpus(loaded, seqs, loaded.config.epsilon)
+        assert after == before
 
     def test_save_load_save_is_stable(self, trained, tmp_path):
         model, _ = trained
