@@ -6,24 +6,21 @@ once, for parsing here and, as its complement, for anomaly scoring. The
 rule reads only a masked input and its true token, so each distinct input
 of masking.enumerate_masks' index is scored once, whichever messages it
 came from, unless it hides only unknown tokens, in chunks of
-chunk_rows(model) inputs, one forward pass per chunk. A chunk's verdicts
-depend on nothing outside it, so the chunks are numerics tasks that the
-calling thread and the worker thread take in turn. A message's result
-does not depend on which other messages share its chunks or its masked
-inputs, nor on which thread scored them. Tokens the rule rejects, and
-tokens past the frame, become the placeholder and their original text is
-reported as that message's variable list, in token order.
+chunk_rows(model) inputs, one forward pass per chunk, one chunk after
+another on the calling thread. A message's result does not depend on
+which other messages share its chunks or its masked inputs. Tokens the
+rule rejects, and tokens past the frame, become the placeholder and their
+original text is reported as that message's variable list, in token order.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from . import masking, numerics
+from . import masking
 from .errors import ValidationError
 from .model import Model
 from .tokenizer import UNK_ID, TokenSequence
@@ -34,8 +31,8 @@ PLACEHOLDER = "⟨*⟩"  # angle-bracketed star
 
 # elements of one chunk's widest array, 2.0 MB at float32: chunk_rows
 # divides it by the widest per-row width, so a chunk's memory does not grow
-# with the frame or the vocabulary. Each of the two threads holds one
-# chunk's arrays at a time, a few arrays of that size in a one-block encoder
+# with the frame or the vocabulary. Scoring holds one chunk's arrays at a
+# time, a few arrays of that size in a one-block encoder
 CHUNK_ELEMS = 491_520
 
 
@@ -96,20 +93,18 @@ def constant_masks(model: Model, seqs: list[TokenSequence],
     inputs = masked.inputs[scored]
     order = np.argsort(rows, kind="stable")
     known, rows = known[order], rows[order]
-    # each input's first sample, in input order, and the others, by input:
-    # a chunk's others are one run of them, so no two chunks write the
-    # same element of flat
+    # each input's first sample, in input order, and the others, by input,
+    # so a chunk's others are one run of them
     first = np.ones(len(rows), dtype=bool)
     first[1:] = rows[1:] != rows[:-1]
     heads, others, other_rows = known[first], known[~first], rows[~first]
     size = chunk_rows(model)
     starts = range(0, len(inputs), size)
     bounds = np.searchsorted(other_rows, [*starts, len(inputs)])
-
-    def score_chunk(start: int, lo: int, hi: int) -> None:
-        """Score inputs[start:start + size] in one forward pass; rank their
-        heads on its rows in place and others[lo:hi] on gathered rows, size
-        at a time, so a popular input never gathers more than a chunk has."""
+    for start, lo, hi in zip(starts, bounds, bounds[1:]):
+        # score inputs[start:start + size] in one forward pass; rank their
+        # heads on its rows in place and others[lo:hi] on gathered rows, size
+        # at a time, so a popular input never gathers more than a chunk has
         probabilities = model.predict_masked_batch(inputs[start:start + size])
         samples = heads[start:start + size]
         flat[samples] = _ranks(probabilities, masked.targets[samples]) < epsilon
@@ -118,9 +113,6 @@ def constant_masks(model: Model, seqs: list[TokenSequence],
             samples = others[part:end]
             own = probabilities[other_rows[part:end] - start]
             flat[samples] = _ranks(own, masked.targets[samples]) < epsilon
-
-    numerics.run_tasks(partial(score_chunk, start, lo, hi)
-                       for start, lo, hi in zip(starts, bounds, bounds[1:]))
     ends = np.cumsum([len(seq.tokens) for seq in seqs], dtype=np.int64)
     masks = [flat[end - len(seq.tokens):end] for seq, end in zip(seqs, ends)]
     return masks, len(masked.inputs), len(inputs)

@@ -32,19 +32,11 @@ its run of the step: a dozen numpy calls, plus one per parameter. Every
 element goes through the same 13 ufuncs in the same order as in an update
 of its parameter alone, so the weights are bitwise equal to it.
 
-The worker: run_tasks queues a list of tasks and runs them on the calling
-thread and one worker thread, started the first time work is queued and
-only when the process may run on more than one CPU; on one CPU the
-calling thread runs them all. A task is a callable without arguments
-that writes nothing another queued task reads or writes. run_tasks
-re-raises the first error a task raised. Grad mode (no_grad) is per
-thread.
+Grad mode (no_grad) is per thread.
 """
 from __future__ import annotations
 
 import math
-import os
-import queue
 import threading
 
 import numpy as np
@@ -457,115 +449,3 @@ def optimizer_step(params: dict[str, Tensor], state: OptimizerState) -> None:
     s /= g
     for name, t in params.items():
         t.data -= state.steps[name]
-
-
-class _Worker:
-    """The task queue and the one thread, besides the calling thread, that
-    runs its tasks. Nothing starts at import: the first queued work starts
-    the thread, and only when the process may run on more than one CPU.
-    One thread at a time queues tasks and finishes them."""
-
-    # queued by cancel behind every task the worker may have taken
-    _BARRIER = object()
-
-    def __init__(self) -> None:
-        self._tasks: queue.SimpleQueue = queue.SimpleQueue()
-        self._done: queue.SimpleQueue = queue.SimpleQueue()
-        # tasks put and not yet run here or reported done by the worker;
-        # the calling thread alone reads and writes it
-        self._pending = 0
-        # what tasks raised since the last finish, on either thread
-        self._errors: list[BaseException] = []
-        self._lock = threading.Lock()
-        self._started = False
-        self._thread: threading.Thread | None = None
-
-    def start(self) -> None:
-        with self._lock:
-            if self._started:
-                return
-            self._started = True
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            if cpus > 1:
-                self._thread = threading.Thread(target=self._serve, name="nulog-worker",
-                                                daemon=True)
-                self._thread.start()
-
-    def put(self, task) -> None:
-        self._pending += 1
-        self._tasks.put(task)
-
-    def _serve(self) -> None:
-        while True:
-            task = self._tasks.get()
-            if task is not self._BARRIER:
-                try:
-                    task()
-                except BaseException as exc:  # handed to finish(); the thread lives on
-                    self._errors.append(exc)
-            self._done.put(task is self._BARRIER)
-            del task  # hold no finished task while idle
-
-    def finish(self) -> list[BaseException]:
-        """Run queued tasks on the calling thread until none is left, wait
-        for those the worker took, and return what the tasks raised.
-
-        A BaseException that is not an Exception, such as a
-        KeyboardInterrupt on the calling thread, cancels the rest and
-        propagates.
-        """
-        try:
-            while True:
-                try:
-                    task = self._tasks.get_nowait()
-                except queue.Empty:
-                    break
-                self._pending -= 1
-                try:
-                    task()
-                except Exception as exc:
-                    self._errors.append(exc)
-            while self._pending:
-                self._done.get()
-                self._pending -= 1
-        except BaseException:
-            self.cancel()
-            raise
-        errors, self._errors = self._errors, []
-        return errors
-
-    def cancel(self) -> None:
-        """Drop every queued task, wait for the one the worker may be
-        running, and forget what tasks raised."""
-        while True:
-            try:
-                self._tasks.get_nowait()
-            except queue.Empty:
-                break
-        if self._thread is not None:
-            # the worker takes tasks in order, so once it reaches the
-            # barrier it runs nothing more
-            self._tasks.put(self._BARRIER)
-            while not self._done.get():
-                pass
-        self._pending = 0
-        self._errors = []
-
-
-_worker = _Worker()
-
-
-def run_tasks(tasks) -> None:
-    """Run every task() on the calling thread and the worker; return
-    once all are done, and raise the first error a task raised."""
-    _worker.start()
-    try:
-        for task in tasks:
-            _worker.put(task)
-    except BaseException:
-        _worker.cancel()
-        raise
-    errors = _worker.finish()
-    if errors:
-        raise errors[0]

@@ -6,7 +6,6 @@ import shutil
 import struct
 import subprocess
 import sys
-import threading
 from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
@@ -593,9 +592,9 @@ print(counts)
 """
 
 
-def test_scoring_and_training_share_at_most_one_thread(workspace, tmp_path):
+def test_no_command_starts_a_thread(workspace, tmp_path):
     # eval's parsed file comes from this interpreter; the counts come from a
-    # fresh one, since in this one earlier tests may have started the worker
+    # fresh one, so no thread another test started is counted
     assert main(["parse", "--data", str(workspace["data"]), "--model",
                  str(workspace["model"]), "--out", str(tmp_path / "p0.csv")]) == 0
     done = subprocess.run(
@@ -605,36 +604,29 @@ def test_scoring_and_training_share_at_most_one_thread(workspace, tmp_path):
         env={**os.environ, "PYTHONPATH": str(Path(nulog.__file__).parents[1])},
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
-    worker = 1 if len(os.sched_getaffinity(0)) > 1 else 0
-    # import and eval start no thread; parse starts the worker, and the two
-    # trainings reuse it
-    assert json.loads(done.stdout.splitlines()[-1]) == [1, 1, 1, 1 + worker, 1 + worker,
-                                                        1 + worker]
+    # import, eval, parse and two trainings: the main thread alone
+    assert json.loads(done.stdout.splitlines()[-1]) == [1, 1, 1, 1, 1, 1]
 
 
-@pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2,
-                    reason="needs a second CPU for the worker")
-@pytest.mark.parametrize("error, code", [(ShapeError("scored on the worker"), 4),
-                                         (OSError("scored on the worker"), 2)])
-def test_parse_keeps_its_exit_code_when_a_chunk_fails_on_the_worker(
-        workspace, tmp_path, monkeypatch, error, code):
-    worker_started = threading.Event()
+@pytest.mark.parametrize("error, code", [(ShapeError("scored the second chunk"), 4),
+                                         (OSError("scored the second chunk"), 2)])
+def test_parse_keeps_its_exit_code_when_a_chunk_fails(workspace, tmp_path, monkeypatch,
+                                                      error, code):
     predict = Model.predict_masked_batch
+    chunks = []
 
-    def fails_on_worker(self, ids):
-        if threading.current_thread().name == "nulog-worker":
-            worker_started.set()
+    def fails_on_the_second_chunk(self, ids):
+        chunks.append(len(ids))
+        if len(chunks) == 2:
             raise error
-        # hold the calling thread until the worker has taken a chunk
-        worker_started.wait(timeout=30)
         return predict(self, ids)
 
-    monkeypatch.setattr(Model, "predict_masked_batch", fails_on_worker)
+    monkeypatch.setattr(Model, "predict_masked_batch", fails_on_the_second_chunk)
     monkeypatch.setattr(extraction, "CHUNK_ELEMS", 1)  # one input per chunk
     out = tmp_path / "p.csv"
     assert main(["parse", "--data", str(workspace["data"]), "--model",
                  str(workspace["model"]), "--out", str(out)]) == code
-    assert worker_started.is_set()
+    assert chunks == [1, 1]
     assert not out.exists()
 
 

@@ -1,9 +1,6 @@
 """Top-epsilon constancy rule, template assembly, and corpus grouping."""
 import logging
 import math
-import os
-import sys
-import threading
 from types import SimpleNamespace
 from unittest import mock
 
@@ -15,7 +12,7 @@ import synth
 from stubs import ScoringStub, guesses_missing_constants
 from nulog.errors import ShapeError, ValidationError
 from nulog.evaluation import parsing_accuracy
-from nulog import extraction, masking, numerics
+from nulog import extraction, masking
 from nulog.extraction import (PLACEHOLDER, chunk_rows, constant_masks,
                               parse_corpus)
 from nulog.model import Model, ModelConfig, train
@@ -163,12 +160,26 @@ class TestConstantMasks:
             batched, built, scored = constant_masks(recorder, seqs, epsilon)
             assert built == scored == len(distinct)
             assert sorted(recorder.inputs) == sorted(distinct)
-            # chunks run on either thread, in either order
-            assert sorted(recorder.rows) == sorted([256, 256, len(distinct) - 2 * 256])
+            assert recorder.rows == [256, 256, len(distinct) - 2 * 256]
             for seq, mask in zip(seqs, batched):
                 assert np.array_equal(mask, mask_alone(model, seq, epsilon))
             verdicts.update(np.concatenate(batched).tolist())
         assert verdicts == {True, False}
+
+    @staticmethod
+    def batched_as_alone(monkeypatch, model, seqs, rows, epsilon):
+        """constant_masks in chunks of rows, one forward call per chunk,
+        checked message by message against mask_alone; the masks and the
+        number of inputs scored."""
+        set_chunk_rows(monkeypatch, model, rows)
+        recorder = ScoringStub(model.predict_masked_batch, like=model)
+        batched, _, scored = constant_masks(recorder, seqs, epsilon)
+        assert len(recorder.calls) == math.ceil(scored / rows)
+        assert len(batched) == len(seqs)
+        for seq, mask in zip(seqs, batched):
+            assert mask.dtype == bool
+            assert np.array_equal(mask, mask_alone(model, seq, epsilon))
+        return batched, scored
 
     def test_batched_equals_per_message_across_chunks(self, monkeypatch):
         # more masked samples than one chunk holds, an empty message and
@@ -177,7 +188,6 @@ class TestConstantMasks:
             [f"node n{i % 7} sent {i % 5} packets to host h{i % 3}" for i in range(40)],
             d=16, heads=2, ffn_hidden=32, blocks=2, epochs=2, batch_size=8, seed=7)
         vocab, frame_length = model.vocab, model.config.frame_length
-        set_chunk_rows(monkeypatch, model, 64)
         seqs = list(train_seqs)
         seqs.insert(5, frame([], frame_length, vocab, message_index=100))
         seqs.insert(11, frame(["node", "n9", "sent", "zzz", "packets"], frame_length,
@@ -186,15 +196,43 @@ class TestConstantMasks:
         assert UNK_ID in seqs[11].framed_ids
         verdicts = set()
         for epsilon in (1, 3, 8):
-            batched, _, _ = constant_masks(model, seqs, epsilon)
+            batched, _ = self.batched_as_alone(monkeypatch, model, seqs, 64, epsilon)
             verdicts.update(np.concatenate(batched).tolist())
-            assert len(batched) == len(seqs)
-            for seq, mask in zip(seqs, batched):
-                assert mask.dtype == bool
-                assert np.array_equal(mask, mask_alone(model, seq, epsilon))
             assert batched[5].size == 0
             assert not batched[11][3]
         assert verdicts == {True, False}
+        # more than 10 chunks of 7 rows, a popular masked input ("session s{i}
+        # opened" with its unique value unknown) held by more samples than a
+        # chunk ranks at a time, and an unknown token
+        messages = ([f"session s{i} opened" for i in range(60)]
+                    + [f"node n{i % 7} sent {i % 5} packets to host h{i}" for i in range(30)])
+        seqs, model = trained_corpus(messages, d=16, heads=2, ffn_hidden=32, epochs=2,
+                                     batch_size=16, seed=3)
+        seqs.append(frame(["session", "zzz", "opened"], model.config.frame_length,
+                          model.vocab, message_index=len(seqs)))
+        for epsilon in (1, 3, 8):
+            batched, scored = self.batched_as_alone(monkeypatch, model, seqs, 7, epsilon)
+            assert scored > 10 * 7
+            assert all(np.array_equal(m, batched[0]) for m in batched[:60])
+            assert not batched[-1][1]  # the unknown token
+
+    def test_a_chunk_error_surfaces_with_its_type(self, monkeypatch):
+        seqs, vocab = framed_corpus([f"w{i} x{i} y{i}" for i in range(20)])
+        healthy = guesses_missing_constants(len(vocab), set())
+
+        def fails_on_the_second_chunk(ids):
+            if len(model.calls) == 2:
+                raise ShapeError("scored the second chunk")
+            return healthy.answer(ids)
+
+        model = ScoringStub(fails_on_the_second_chunk)
+        set_chunk_rows(monkeypatch, model, 5)
+        with pytest.raises(ShapeError, match="scored the second chunk"):
+            constant_masks(model, seqs, epsilon=1)
+        assert model.rows == [5, 5]  # no chunk after the failed one is scored
+        masks, _, _ = constant_masks(healthy, seqs, epsilon=1)
+        assert sum(healthy.rows) == 3 * len(seqs)
+        assert all(not m.any() for m in masks)
 
     def test_one_forward_call_per_chunk(self, monkeypatch):
         seqs, vocab = framed_corpus([f"w{i} x{i} y{i}" for i in range(200)])
@@ -309,112 +347,6 @@ class TestChunkRows:
         assert chunk_rows(SimpleNamespace(config=config, head_out=20_000)) == \
             extraction.CHUNK_ELEMS // 20_000
         assert chunk_rows(SimpleNamespace(config=config, head_out=10 ** 9)) == 1
-
-
-def two_cpus():
-    return len(os.sched_getaffinity(0)) > 1
-
-
-class TestChunksOnBothThreads:
-    """Chunks are numerics tasks: the worker thread takes some when the
-    process has two CPUs, and the masks must not depend on who ran what."""
-
-    @staticmethod
-    def corpus_and_model():
-        # a popular masked input (the variable of "session * opened") held
-        # by more samples than a chunk ranks at a time, many distinct inputs
-        # and an unknown token
-        messages = ([f"session s{i} opened" for i in range(60)]
-                    + [f"node n{i % 7} sent {i % 5} packets to host h{i}" for i in range(30)])
-        seqs, model = trained_corpus(messages, d=16, heads=2, ffn_hidden=32, epochs=2,
-                                     batch_size=16, seed=3)
-        seqs.append(frame(["session", "zzz", "opened"], model.config.frame_length,
-                          model.vocab, message_index=len(seqs)))
-        return seqs, model
-
-    @pytest.mark.parametrize("switch_interval", [None, 1e-5])
-    def test_worker_on_and_off_give_bitwise_equal_masks(self, monkeypatch,
-                                                        switch_interval):
-        seqs, model = self.corpus_and_model()
-        set_chunk_rows(monkeypatch, model, 7)
-        ran_on = []  # the thread of each chunk
-
-        def masks_and_rows(hold: bool):
-            # every probability row the model gave, keyed by its masked input;
-            # with hold, the calling thread's first chunk waits until the
-            # worker has scored one, so the worker always gets a chunk
-            rows = {}
-            worker_scored, held = threading.Event(), []
-
-            def record(ids):
-                ran_on.append(threading.current_thread().name)
-                on_worker = ran_on[-1] == "nulog-worker"
-                if hold and not on_worker and not held:
-                    held.append(True)
-                    worker_scored.wait(timeout=30)
-                probabilities = model.predict_masked_batch(ids)
-                rows.update((i.tobytes(), p.tobytes()) for i, p in zip(ids, probabilities))
-                if on_worker:
-                    worker_scored.set()
-                return probabilities
-
-            recorder = ScoringStub(record, like=model)
-            masks, _, scored = constant_masks(recorder, seqs, epsilon=3)
-            assert sum(recorder.rows) == len(rows) == scored
-            return masks, rows
-
-        interval = sys.getswitchinterval()
-        if switch_interval is not None:
-            sys.setswitchinterval(switch_interval)  # hand over the interpreter often
-        try:
-            both, rows_both = masks_and_rows(hold=two_cpus())
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(rows_both) > 10 * 7
-        assert len(ran_on) == math.ceil(len(rows_both) / 7)
-        if two_cpus():
-            assert "nulog-worker" in ran_on
-        # one CPU: a fresh worker never starts its thread
-        one_cpu = numerics._Worker()
-        monkeypatch.setattr(numerics, "_worker", one_cpu)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        ran_on.clear()
-        alone, rows_alone = masks_and_rows(hold=False)
-        assert one_cpu._thread is None
-        assert set(ran_on) == {threading.current_thread().name}
-        assert rows_both == rows_alone
-        assert len(both) == len(alone) == len(seqs)
-        for a, b in zip(both, alone):
-            assert a.dtype == b.dtype == bool
-            assert np.array_equal(a, b)
-        assert not alone[-1][1]  # the unknown token
-        popular = [m[1] for m in alone[:60]]
-        assert len(set(popular)) == 1
-
-    @pytest.mark.skipif(not two_cpus(), reason="needs a second CPU for the worker")
-    def test_a_chunk_error_on_the_worker_surfaces_with_its_type(self, monkeypatch):
-        seqs, vocab = framed_corpus([f"w{i} x{i} y{i}" for i in range(20)])
-        worker_started = threading.Event()
-
-        healthy = guesses_missing_constants(len(vocab), set())
-
-        def fails_on_worker(ids):
-            if threading.current_thread().name == "nulog-worker":
-                worker_started.set()
-                raise ShapeError("scored on the worker")
-            # hold the calling thread until the worker has taken a chunk
-            worker_started.wait(timeout=30)
-            return healthy.answer(ids)
-
-        model = ScoringStub(fails_on_worker)
-        set_chunk_rows(monkeypatch, model, 5)
-        with pytest.raises(ShapeError, match="scored on the worker"):
-            constant_masks(model, seqs, epsilon=1)
-        assert worker_started.is_set()
-        # the worker lives on and nothing of the failed call is left queued
-        masks, _, _ = constant_masks(healthy, seqs, epsilon=1)
-        assert sum(healthy.rows) == 3 * len(seqs)
-        assert all(not m.any() for m in masks)
 
 
 def extract(model, seq, epsilon):

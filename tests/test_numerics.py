@@ -3,11 +3,8 @@
 Gradient correctness is judged against central finite differences computed
 on float64 copies; nothing here trusts the tape to check the tape.
 """
-import _thread
 import math
-import os
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -15,7 +12,6 @@ from hypothesis import given, settings, strategies as st
 
 from gradcheck import finite_difference_check
 from reference import ReferenceAdam
-from nulog import numerics
 from nulog.errors import ShapeError, StaleGradientError, ValidationError
 from nulog.model import Model, ModelConfig, train_epoch
 from nulog.numerics import (OptimizerState, Tensor, add,
@@ -670,121 +666,3 @@ class TestOptimizer:
         state = OptimizerState(param_set(w=np.zeros((1, 1))))
         assert (state.learning_rate, state.beta1, state.beta2, state.eps) == \
             (1e-3, 0.9, 0.999, 1e-8)
-
-
-def two_cpus():
-    return len(os.sched_getaffinity(0)) > 1
-
-
-def on_worker():
-    return threading.current_thread().name == "nulog-worker"
-
-
-def nothing_left(worker):
-    return worker._pending == 0 and worker._tasks.empty() and worker._done.empty()
-
-
-class TestRunTasks:
-    def test_every_task_runs_once_and_the_first_error_surfaces(self):
-        ran = []
-
-        def task(i):
-            ran.append(i)
-            if i in (3, 5):
-                raise ShapeError(f"task {i}")
-
-        with pytest.raises(ShapeError, match=r"task [35]"):
-            numerics.run_tasks(lambda i=i: task(i) for i in range(40))
-        assert sorted(ran) == list(range(40))
-        assert nothing_left(numerics._worker)
-
-    def test_on_one_cpu_the_calling_thread_runs_every_task(self, monkeypatch):
-        worker = numerics._Worker()
-        monkeypatch.setattr(numerics, "_worker", worker)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        ran = []
-        numerics.run_tasks(lambda i=i: ran.append((i, on_worker())) for i in range(5))
-        assert ran == [(i, False) for i in range(5)]
-        assert worker._thread is None
-
-    @pytest.mark.skipif(not two_cpus(), reason="needs a second CPU for the worker")
-    def test_a_base_exception_on_the_worker_reaches_the_caller_and_it_lives_on(self):
-        class Stop(BaseException):
-            pass
-
-        taken = threading.Event()
-
-        def task():
-            if on_worker():
-                taken.set()
-                raise Stop()
-            taken.wait(timeout=30)  # leave the other task to the worker
-
-        outcome = []
-
-        def caller():
-            try:
-                numerics.run_tasks([task, task])
-            except Stop:
-                outcome.append("stopped")
-            ran = []
-            numerics.run_tasks(lambda i=i: ran.append(i) for i in range(20))
-            outcome.append(sorted(ran))
-
-        # on a thread of its own, so a dead worker fails the test instead of
-        # leaving it waiting forever
-        thread = threading.Thread(target=caller, daemon=True)
-        thread.start()
-        thread.join(timeout=30)
-        assert not thread.is_alive()
-        assert taken.is_set()
-        assert outcome == ["stopped", list(range(20))]
-        assert numerics._worker._thread.is_alive()
-        assert nothing_left(numerics._worker)
-
-    def test_an_interrupt_inside_a_task_leaves_no_task_queued(self, monkeypatch):
-        # one CPU, so the calling thread runs the interrupted task and the
-        # eleven behind it would have stayed queued
-        worker = numerics._Worker()
-        monkeypatch.setattr(numerics, "_worker", worker)
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        ran = []
-
-        def interrupt():
-            raise KeyboardInterrupt
-
-        with pytest.raises(KeyboardInterrupt):
-            numerics.run_tasks([interrupt] + [lambda: ran.append(1)] * 11)
-        assert ran == []
-        assert nothing_left(worker)
-        numerics.run_tasks([lambda: ran.append(2)])
-        assert ran == [2]
-
-    @pytest.mark.skipif(not two_cpus(), reason="needs a second CPU for the worker")
-    def test_an_interrupted_wait_drops_the_queue_and_waits_for_the_worker(self):
-        running, ran = [], []
-        interrupted = []
-
-        def task():
-            lane = on_worker()
-            if not lane:
-                time.sleep(0.01)
-                ran.append(lane)
-                return
-            running.append(lane)
-            if not interrupted:
-                interrupted.append(True)
-                _thread.interrupt_main()  # KeyboardInterrupt on the calling thread
-            time.sleep(0.01)
-            ran.append(lane)
-            running.pop()
-
-        with pytest.raises(KeyboardInterrupt):
-            numerics.run_tasks([task] * 50)
-        assert interrupted
-        assert running == []  # the worker's task finished before run_tasks left
-        assert len(ran) < 50
-        assert nothing_left(numerics._worker)
-        ran.clear()
-        numerics.run_tasks(lambda i=i: ran.append(i) for i in range(10))
-        assert sorted(ran) == list(range(10))
