@@ -3,7 +3,9 @@
 Every command writes a JSON manifest alongside its primary output so a run
 can be reproduced from its recorded inputs and seed; no command reads one.
 Exit codes: 2 for I/O problems, 3 for configuration problems (bad flags
-included), 4 for data validation failures.
+and config files that are not UTF-8 included), 4 for data validation
+failures (CSV files that are not UTF-8 or that the csv module cannot read
+included).
 """
 from __future__ import annotations
 
@@ -28,6 +30,10 @@ log = logging.getLogger(__name__)
 EXIT_IO = 2
 EXIT_CONFIG = 3
 EXIT_VALIDATION = 4
+
+# one encoder for every parse row's variables; json.dumps with a keyword
+# builds a new one per call
+_VARIABLES = json.JSONEncoder(ensure_ascii=False)
 
 # the encoder flags every training command takes: name -> help; each name
 # is a ModelConfig field (detect's through AnomalyConfig.model) and a
@@ -152,8 +158,7 @@ def cmd_parse(args) -> int:
     corpus = [frame(toks, model.config.frame_length, model.vocab, message_index=i)
               for toks, i in zip(token_lists, first_line.values())]
     parsed, templates, built, scored = extraction.parse_corpus(model, corpus, epsilon)
-    row_of = {content: (p.template_id, p.template,
-                        json.dumps(p.variables, ensure_ascii=False))
+    row_of = {content: (p.template_id, p.template, _VARIABLES.encode(p.variables))
               for content, p in zip(first_line, parsed)}
     rows = [(r.line_id, *row_of[r.content]) for r in records]
     _write_csv(args.out, ["line_id", "template_id", "template", "variables"], rows)

@@ -3,14 +3,18 @@ only when the model ranks the true token inside the top epsilon candidates.
 
 constant_masks is the one place that applies that rule, to many messages at
 once, for parsing here and, as its complement, for anomaly scoring. The
-rule reads only a masked input and its true token, so each distinct input
-of masking.enumerate_masks' index is scored once, whichever messages it
-came from, unless it hides only unknown tokens, in chunks of
+rule reads only a masked input and its true token, and a message's masked
+inputs follow from its encoded frame alone. So messages are first merged
+by frame, in order of first appearance; masking.enumerate_masks builds the
+masked inputs of the distinct frames only, and each distinct input is
+scored once, unless it hides only unknown tokens, in chunks of
 chunk_rows(model) inputs, one forward pass per chunk, one chunk after
 another on the calling thread. A message's result does not depend on
-which other messages share its chunks or its masked inputs. Tokens the
-rule rejects, and tokens past the frame, become the placeholder and their
-original text is reported as that message's variable list, in token order.
+which other messages share its chunks, its masked inputs or its frame.
+Tokens the rule rejects, and tokens past the frame, become the placeholder
+and their original text is reported as that message's variable list, in
+token order; parse renders each template once per distinct frame and
+count of cut tokens.
 """
 from __future__ import annotations
 
@@ -69,23 +73,21 @@ def chunk_rows(model: Model) -> int:
     return max(1, CHUNK_ELEMS // width)
 
 
-def constant_masks(model: Model, seqs: list[TokenSequence],
-                   epsilon: int) -> tuple[list[np.ndarray], int, int]:
-    """The constancy rule for each token of each message, in token order,
-    the number of distinct masked inputs built and the number scored.
-
-    A token is constant when, masked, its true id ranks inside the top
-    epsilon candidates; an unknown token is never constant, so an input
-    whose every sample hides an unknown token is not scored. The rank does
-    not depend on epsilon, so growing epsilon only ever turns variables
-    into constants. Each scored input goes to the model once and every
-    sample that shares it is ranked on its probability row, so a message's
-    result does not depend on which other messages share its chunks or its
-    masked inputs.
-    """
+def _frame_masks(model: Model, seqs: list[TokenSequence], epsilon: int
+                 ) -> tuple[list[np.ndarray], list[int], int, int]:
+    """constant_masks on the distinct frames of seqs: one read-only mask
+    per distinct frame, in order of first appearance, each message's
+    number in that list, and the numbers of masked inputs built and
+    scored."""
     if epsilon <= 0:
         raise ValidationError(f"epsilon must be positive, got {epsilon}")
-    masked = masking.enumerate_masks(seqs)
+    if not seqs:
+        return [], [], 0, 0
+    # a frame fixes its message's token count and every token slot's id,
+    # so messages that share a frame share every masked input
+    leaders, frame_of = masking.distinct_rows(masking.stack_frames(seqs))
+    distinct = [seqs[i] for i in leaders]
+    masked = masking.enumerate_masks(distinct)
     flat = masked.targets != UNK_ID
     # rank the samples of known tokens only, on only the inputs they read
     known = np.flatnonzero(flat)
@@ -113,18 +115,37 @@ def constant_masks(model: Model, seqs: list[TokenSequence],
             samples = others[part:end]
             own = probabilities[other_rows[part:end] - start]
             flat[samples] = _ranks(own, masked.targets[samples]) < epsilon
-    ends = np.cumsum([len(seq.tokens) for seq in seqs], dtype=np.int64)
-    masks = [flat[end - len(seq.tokens):end] for seq, end in zip(seqs, ends)]
-    return masks, len(masked.inputs), len(inputs)
+    # messages that share a frame share its mask, so none may write to it
+    flat.flags.writeable = False
+    ends = np.cumsum([len(seq.tokens) for seq in distinct], dtype=np.int64)
+    masks = [flat[end - len(seq.tokens):end] for seq, end in zip(distinct, ends)]
+    return masks, frame_of.tolist(), len(masked.inputs), len(inputs)
 
 
-def _template(seq: TokenSequence, constant: np.ndarray) -> tuple[str, list[str]]:
-    """The template and variables of a message; each token its frame cut
-    off is a variable, unscored, as the model never saw it."""
-    parts = [tok if keep else PLACEHOLDER
-             for tok, keep in zip(seq.tokens, constant)] + [PLACEHOLDER] * len(seq.cut)
-    variables = [tok for tok, keep in zip(seq.tokens, constant) if not keep] + seq.cut
-    return " ".join(parts), variables
+def constant_masks(model: Model, seqs: list[TokenSequence],
+                   epsilon: int) -> tuple[list[np.ndarray], int, int]:
+    """The constancy rule for each token of each message, in token order,
+    the number of distinct masked inputs built and the number scored.
+
+    A token is constant when, masked, its true id ranks inside the top
+    epsilon candidates; an unknown token is never constant, so an input
+    whose every sample hides an unknown token is not scored. The rank does
+    not depend on epsilon, so growing epsilon only ever turns variables
+    into constants. Each distinct frame is masked once and each scored
+    input goes to the model once, and every sample that shares it is
+    ranked on its probability row, so a message's result does not depend
+    on which other messages share its chunks, its masked inputs or its
+    frame. Messages with one frame share one read-only mask.
+    """
+    masks, frame_of, built, scored = _frame_masks(model, seqs, epsilon)
+    return [masks[f] for f in frame_of], built, scored
+
+
+def _template(seq: TokenSequence, constant: np.ndarray) -> str:
+    """The template of a message; each token its frame cut off is a
+    variable, unscored, as the model never saw it."""
+    return " ".join([tok if keep else PLACEHOLDER for tok, keep in zip(seq.tokens, constant)]
+                    + [PLACEHOLDER] * len(seq.cut))
 
 
 def parse_corpus(model: Model, corpus: list[TokenSequence], epsilon: int
@@ -133,21 +154,29 @@ def parse_corpus(model: Model, corpus: list[TokenSequence], epsilon: int
 
     Returns the parsed messages, the templates indexed by template id, and
     the numbers of distinct masked inputs built and scored; template ids
-    are dense and follow first appearance. Identical token lists share
-    every masked input, so they always parse identically.
+    are dense and follow first appearance. Messages that share a frame
+    share its mask: a constant slot holds the same known token in each, so
+    the template is rendered once per frame and count of cut tokens, and
+    each message's variables are its own tokens at the frame's variable
+    slots, then its cut tokens.
     """
-    masks, built, scored = constant_masks(model, corpus, epsilon)
+    masks, frame_of, built, scored = _frame_masks(model, corpus, epsilon)
+    variable_slots = [np.flatnonzero(~mask).tolist() for mask in masks]
+    rendered: dict[tuple[int, int], tuple[int, str]] = {}
     template_ids: dict[str, int] = {}
     parsed: list[ParsedMessage] = []
-    for seq, mask in zip(corpus, masks):
-        template, variables = _template(seq, mask)
-        parsed.append(ParsedMessage(message_index=seq.message_index,
-                                    template_id=template_ids.setdefault(
-                                        template, len(template_ids)),
-                                    template=template,
-                                    variables=variables))
+    for seq, f in zip(corpus, frame_of):
+        key = (f, len(seq.cut))
+        found = rendered.get(key)
+        if found is None:
+            template = _template(seq, masks[f])
+            found = rendered[key] = (template_ids.setdefault(template, len(template_ids)),
+                                     template)
+        tokens = seq.tokens
+        parsed.append(ParsedMessage(seq.message_index, *found,
+                                    [tokens[i] for i in variable_slots[f]] + seq.cut))
     log.info("scored %d messages: %d masked samples as %d distinct inputs, "
              "%d of them scored in %d forward calls", len(corpus),
-             sum(m.size for m in masks), built, scored,
+             sum(len(seq.tokens) for seq in corpus), built, scored,
              math.ceil(scored / chunk_rows(model)))
     return parsed, list(template_ids), built, scored

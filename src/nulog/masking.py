@@ -10,13 +10,21 @@ import numpy as np
 from .tokenizer import MASK_ID, TokenSequence
 
 
+def stack_frames(seqs: list[TokenSequence]) -> np.ndarray:
+    """The frames of seqs, which share one length, as one (N, T) array."""
+    if not seqs:
+        return np.empty((0, 0), np.int64)
+    # np.array stacks 1-D rows several times faster than np.stack, and it
+    # too rejects rows of unequal length
+    return np.array([s.framed_ids for s in seqs])
+
+
 def _mask(seqs: list[TokenSequence], rows: np.ndarray,
           slots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample i is frame rows[i] of seqs, whose frames share one length,
     with MASK at slot slots[i]: the masked frames, one row per sample, and
     the ids they hid."""
-    frames = np.stack([s.framed_ids for s in seqs]) if seqs else np.empty((0, 0), np.int64)
-    masked = frames[rows]
+    masked = stack_frames(seqs)[rows]
     samples = np.arange(len(rows))
     targets = masked[samples, slots]
     masked[samples, slots] = MASK_ID
@@ -62,10 +70,17 @@ def enumerate_masks(seqs: list[TokenSequence]) -> MaskedInputs:
     # each sample's token slot, counted from 1 within its message
     slots = np.arange(len(owner)) - np.repeat(np.cumsum(lengths) - lengths, lengths) + 1
     rows, targets = _mask(seqs, owner, slots)
+    first, input_of = distinct_rows(rows)
+    return MaskedInputs(inputs=rows[first], input_of=input_of, targets=targets)
+
+
+def distinct_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a C-contiguous 2-D array, in order of first
+    appearance: the index of each one's first row, and for every row the
+    number of its distinct row."""
     # one opaque key per row: sorting the keys groups equal rows
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     # the sorted groups renumbered by first appearance
     appearance = np.argsort(first)
-    return MaskedInputs(inputs=rows[first[appearance]],
-                        input_of=np.argsort(appearance)[inverse.ravel()], targets=targets)
+    return first[appearance], np.argsort(appearance)[inverse.ravel()]

@@ -12,6 +12,7 @@ import logging
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -46,15 +47,8 @@ def tokenize(content: str, pattern: str | re.Pattern) -> list[str]:
     and no parameter rewriting of any kind takes place.
     """
     rx = compile_filter(pattern)
-    tokens: list[str] = []
-    last = 0
-    for m in rx.finditer(content):
-        if m.start() > last:
-            tokens.append(content[last:m.start()])
-        last = max(last, m.end())
-    if last < len(content):
-        tokens.append(content[last:])
-    return tokens
+    # split puts each match's groups between the fragments; step over them
+    return [t for t in rx.split(content)[::rx.groups + 1] if t]
 
 
 class Vocabulary:
@@ -87,6 +81,10 @@ class Vocabulary:
     def encode(self, token: str) -> int:
         """Id of a token, UNK_ID when out of vocabulary."""
         return self._token_to_id.get(token, UNK_ID)
+
+    def encode_all(self, tokens: list[str]) -> list[int]:
+        """Ids of tokens, in order, UNK_ID for each out of vocabulary."""
+        return list(map(self._token_to_id.get, tokens, repeat(UNK_ID)))
 
     def decode(self, token_id: int) -> str:
         return self._id_to_token[token_id]
@@ -146,9 +144,7 @@ def frame(tokens: list[str], frame_length: int, vocab: Vocabulary,
         log.warning("message %d truncated from %d to %d tokens",
                     message_index, len(tokens), frame_length - 2)
     tokens, cut = list(tokens[:frame_length - 2]), list(tokens[frame_length - 2:])
-    ids = np.full(frame_length, PAD_ID, dtype=np.int64)
-    ids[0] = CLS_ID
-    for slot, token in enumerate(tokens, start=1):
-        ids[slot] = vocab.encode(token)
+    ids = np.array([CLS_ID, *vocab.encode_all(tokens),
+                    *[PAD_ID] * (frame_length - 1 - len(tokens))], dtype=np.int64)
     return TokenSequence(message_index=message_index, tokens=tokens, framed_ids=ids,
                          cut=cut)

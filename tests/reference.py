@@ -1,4 +1,7 @@
-"""Adam written out per tensor, for bitwise comparison with the flat one."""
+"""Plain-loop references for bitwise comparison: Adam written out per
+tensor, and tokenization as a loop over filter matches."""
+import re
+
 import numpy as np
 
 from nulog.numerics import Tensor
@@ -21,3 +24,17 @@ class ReferenceAdam:
             self.m[name] = self.m[name] * self.b1 + (1.0 - self.b1) * g
             self.v[name] = self.v[name] * self.b2 + (1.0 - self.b2) * np.square(g)
             w -= (self.lr / bc1) * self.m[name] / (np.sqrt(self.v[name] / bc2) + self.eps)
+
+
+def tokenize_loop(content: str, rx: re.Pattern) -> list[str]:
+    """tokenize written as a loop over the filter's matches: the text
+    between one match and the next, empty fragments dropped."""
+    tokens: list[str] = []
+    last = 0
+    for m in rx.finditer(content):
+        if m.start() > last:
+            tokens.append(content[last:m.start()])
+        last = max(last, m.end())
+    if last < len(content):
+        tokens.append(content[last:])
+    return tokens

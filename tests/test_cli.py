@@ -884,6 +884,50 @@ class TestExitCodes:
         assert f"{data}: {expected}" in capsys.readouterr().err
         assert list(tmp_path.glob("out*")) == []
 
+    @staticmethod
+    def data_argv(command, data, out, workspace):
+        if command == "train":
+            return ["train", "--data", str(data), "--out-model", str(out), *TINY_DIMS]
+        return ["parse", "--data", str(data), "--model", str(workspace["model"]),
+                "--out", str(out)]
+
+    @pytest.mark.parametrize("command", ["train", "parse"])
+    def test_undecodable_csv_byte_is_schema_error(self, workspace, tmp_path, capsys,
+                                                  command):
+        data = tmp_path / "latin1.csv"
+        data.write_bytes(b"LineId,Content\n1,hello world\n2,caf\xe9 open\n")
+        out = tmp_path / "out"
+        assert main(self.data_argv(command, data, out, workspace)) == 4
+        assert f"{data}:3: not UTF-8" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("command", ["train", "parse"])
+    def test_oversized_cell_is_schema_error(self, workspace, tmp_path, capsys, command):
+        data = tmp_path / "huge.csv"
+        data.write_text(f"LineId,Content\n1,hello world\n2,{'x' * 140_000}\n",
+                        encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(self.data_argv(command, data, out, workspace)) == 4
+        assert f"{data}:3: field larger than field limit" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_undecodable_config_byte_is_config_error(self, workspace, tmp_path, capsys,
+                                                     command):
+        # parse takes its filter from the archive and reads no config file
+        config = tmp_path / "latin1.conf"
+        config.write_bytes(b"# caf\xe9\nname=x\ntokenization_filter=([ ])\n")
+        out = tmp_path / "out"
+        if command == "train":
+            argv = ["train", "--data", str(workspace["data"]), "--config", str(config),
+                    "--out-model", str(out), *TINY_DIMS]
+        else:
+            argv = ["eval", "--parsed", str(workspace["data"]), "--truth",
+                    str(workspace["truth"]), "--config", str(config), "--out", str(out)]
+        assert main(argv) == 3
+        assert f"{config}:1: not UTF-8" in capsys.readouterr().err
+        assert list(tmp_path.glob("out*")) == []
+
     @pytest.mark.parametrize("seed", ["-1", "4294967296"])
     @pytest.mark.parametrize("source", ["flag", "env"])
     @pytest.mark.parametrize("command", ["train", "detect"])

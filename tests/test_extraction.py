@@ -476,6 +476,79 @@ class TestParseCorpus:
         assert [p.template_id for p in parsed] == [0, 1, 0, 2, 1]
 
 
+DISTINCT_VOCAB = build_vocabulary([["alpha", "beta", "gamma"]], min_count=1)
+DISTINCT_FRAME = 6  # four tokens fill it; later ones are cut
+# alpha and beta are constant, gamma is known but variable
+DISTINCT_CONSTANTS = {DISTINCT_VOCAB.encode("alpha"), DISTINCT_VOCAB.encode("beta")}
+
+
+class TestDistinctFrames:
+    """Messages that share a frame are masked and scored once and share
+    one mask; each still parses from its own tokens and cut tokens."""
+
+    @staticmethod
+    def framed(messages):
+        return [frame(tokens, DISTINCT_FRAME, DISTINCT_VOCAB, message_index=i)
+                for i, tokens in enumerate(messages)]
+
+    @given(st.lists(st.lists(st.sampled_from(["alpha", "beta", "gamma", "u1", "u2",
+                                              "u3"]), max_size=7), max_size=12))
+    # one frame, alpha UNK beta UNK, under other unknown text and other cut tails
+    @example([["alpha", "u1", "beta", "u2"], ["alpha", "u3", "beta", "u1", "u2"],
+              ["alpha", "u2", "beta", "u3", "gamma", "u1"], ["alpha", "u1", "beta", "u2"],
+              ["alpha", "u2", "beta", "u2", "u3"]])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_each_message_parses_as_it_does_alone(self, messages):
+        seqs = self.framed(messages)
+        model = guesses_missing_constants(len(DISTINCT_VOCAB), DISTINCT_CONSTANTS)
+        parsed, templates, _, _ = parse_corpus(model, seqs, epsilon=2)
+        for seq, p in zip(seqs, parsed):
+            assert (p.template, p.variables) == extract(model, seq, epsilon=2)
+            assert templates[p.template_id] == p.template
+        assert [p.template_id for p in parsed] == \
+            [templates.index(p.template) for p in parsed]
+
+    def test_one_frame_renders_one_template_per_cut_count(self):
+        messages = [["alpha", "u1", "beta", "u2"], ["alpha", "u3", "beta", "u1", "u2"],
+                    ["alpha", "u2", "beta", "u3", "gamma", "u1"],
+                    ["alpha", "u2", "beta", "u1", "u3"]]
+        seqs = self.framed(messages)
+        assert len({seq.framed_ids.tobytes() for seq in seqs}) == 1
+        model = guesses_missing_constants(len(DISTINCT_VOCAB), DISTINCT_CONSTANTS)
+        parsed, templates, _, _ = parse_corpus(model, seqs, epsilon=2)
+        base = f"alpha {PLACEHOLDER} beta {PLACEHOLDER}"
+        assert templates == [base, f"{base} {PLACEHOLDER}",
+                             f"{base} {PLACEHOLDER} {PLACEHOLDER}"]
+        assert [p.template_id for p in parsed] == [0, 1, 2, 1]
+        assert [p.variables for p in parsed] == [["u1", "u2"], ["u3", "u1", "u2"],
+                                                 ["u2", "u3", "gamma", "u1"],
+                                                 ["u2", "u1", "u3"]]
+
+    def test_copies_of_a_frame_forward_the_rows_of_one(self):
+        # the copies differ in their unknown token's text, not in their frame
+        copies = self.framed([["alpha", f"u{i}", "gamma", "beta"] for i in range(50)])
+        assert len({seq.framed_ids.tobytes() for seq in copies}) == 1
+        alone = guesses_missing_constants(len(DISTINCT_VOCAB), DISTINCT_CONSTANTS)
+        together = guesses_missing_constants(len(DISTINCT_VOCAB), DISTINCT_CONSTANTS)
+        single, built, scored = constant_masks(alone, copies[:1], epsilon=2)
+        masks, *counts = constant_masks(together, copies, epsilon=2)
+        assert counts == [built, scored] == [4, 3]
+        assert together.rows == alone.rows == [3]
+        assert together.inputs == alone.inputs
+        assert all(mask.tolist() == single[0].tolist() == [True, False, False, True]
+                   for mask in masks)
+
+    def test_a_shared_mask_is_read_only(self):
+        seqs = self.framed([["alpha", "u1", "beta"], ["gamma"], ["alpha", "u2", "beta"]])
+        model = guesses_missing_constants(len(DISTINCT_VOCAB), DISTINCT_CONSTANTS)
+        masks, _, _ = constant_masks(model, seqs, epsilon=2)
+        assert np.shares_memory(masks[0], masks[2])
+        assert not masks[0].flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            masks[2][0] = False
+        assert masks[0].tolist() == [True, False, True]
+
+
 class TestRareTokens:
     """At the default min_count a value seen once in training is UNK, which
     is never constant, so every line of an event shares its masked inputs."""

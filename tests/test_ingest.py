@@ -114,6 +114,17 @@ class TestLoadConfig:
         with pytest.raises(OSError):
             load_config(tmp_path / "absent.conf")
 
+    def test_undecodable_byte_is_config_error_naming_its_line(self, tmp_path):
+        path = tmp_path / "latin1.conf"
+        path.write_bytes(b"name=x\ntokenization_filter=([ ])\n# caf\xe9\n")
+        with pytest.raises(ConfigError, match=r"latin1.conf:3: not UTF-8"):
+            load_config(path)
+
+    def test_old_mac_line_ends_split_lines(self, tmp_path):
+        path = tmp_path / "cr.conf"
+        path.write_bytes(b"name=x\rtokenization_filter=([ ])\r\nepochs=2\r")
+        assert load_config(path).epochs == 2
+
     def test_shipped_configs_load(self):
         from pathlib import Path
         config_dir = Path(__file__).resolve().parent.parent / "configs"
@@ -153,6 +164,25 @@ class TestReadTable:
         path = self.write(tmp_path, "a,b,c\n1,2,3,4\n")
         with pytest.raises(SchemaError, match="data row 1 has more cells"):
             read_table(path, ("a", "b"), optional=("c",))
+
+
+    def test_undecodable_byte_names_its_line(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"a,b\n1,2\n3,caf\xe9\n")
+        with pytest.raises(SchemaError, match=r"table.csv:3: not UTF-8"):
+            read_table(path, ("a",))
+
+    def test_a_cell_over_the_field_limit_is_schema_error(self, tmp_path):
+        path = self.write(tmp_path, f"a,b\n1,2\n3,{'x' * 140_000}\n")
+        with pytest.raises(SchemaError, match=r"table.csv:3: field larger than field limit"):
+            read_table(path, ("a",))
+
+    def test_blank_rows_are_skipped_and_not_counted(self, tmp_path):
+        path = self.write(tmp_path, "a,b\n\n1,2\n\n3\n")
+        with pytest.raises(SchemaError, match="data row 2 has no b cell"):
+            read_table(path, ("a",))
+        path = self.write(tmp_path, "a,b\n\n1,2\n\n3,4\n\n")
+        assert read_table(path, ("a",)) == [{"a": "1", "b": "2"}, {"a": "3", "b": "4"}]
 
 
 class TestLoadLoghubCsv:

@@ -1,16 +1,31 @@
 """Splitting, vocabulary, and framing behavior."""
 import logging
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
+from reference import tokenize_loop
+from nulog.anomaly import DEFAULT_FILTER
 from nulog.errors import ConfigError, ValidationError
 from nulog.tokenizer import (CLS_ID, MASK_ID, PAD_ID, UNK_ID, SPECIAL_TOKENS,
                              WHITESPACE_FILTER, Vocabulary, build_vocabulary,
                              compile_filter, compute_frame_length, frame,
                              tokenize)
+from nulog.ingest import load_config
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.conf"))
+# every shipped filter, the detect default (three groups, not all of which
+# take part in a match) and a pattern that matches the empty string
+ORACLE_FILTERS = {**{path.stem: load_config(path).tokenization_filter for path in CONFIGS},
+                  "whitespace": WHITESPACE_FILTER, "detect": DEFAULT_FILTER,
+                  "word-boundary": r"\b"}
+# pieces the filters above split on or keep, so that random text hits them
+FRAGMENTS = [" ", "  ", "\t", "\n", "a", "Zq", "17", "blk_", "core.", "core", ".",
+             "..", "...", ":", "=", ",", "(", ")", "|", '"', "{", "}", "@", "$",
+             "[", "]", ";", "-", "_", " B", " KB", "10.0.0.1", "x.y-z.w", "é"]
 
 
 class TestCompileFilter:
@@ -63,6 +78,27 @@ class TestTokenize:
     def test_single_space_join_round_trips(self, words):
         content = " ".join(words)
         assert tokenize(content, WHITESPACE_FILTER) == [w for w in words if w]
+
+
+class TestTokenizeOracle:
+    """tokenize against tokenize_loop, a loop over the filter's matches."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_FILTERS))
+    @given(content=st.one_of(st.lists(st.sampled_from(FRAGMENTS), max_size=24).map("".join),
+                             st.text(max_size=40)))
+    @example(content="")
+    @example(content=" lead")
+    @example(content="trail ")
+    @example(content="a  b,,c==d  ")
+    @example(content=" ,:(|)= ")
+    def test_matches_the_match_loop(self, name, content):
+        rx = re.compile(ORACLE_FILTERS[name])
+        assert tokenize(content, rx) == tokenize_loop(content, rx)
+
+    def test_oracle_filters_include_every_config_and_the_detect_default(self):
+        assert len(CONFIGS) == 10
+        assert re.compile(DEFAULT_FILTER).groups == 3
+        assert re.compile(ORACLE_FILTERS["word-boundary"]).search("a").group() == ""
 
 
 class TestVocabulary:
